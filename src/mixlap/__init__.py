@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .errors import (
     AccuracyError,
     DegenerateIterateError,
+    FieldFormatError,
     GridMismatchError,
     MixlapError,
 )
@@ -13,6 +14,7 @@ from .params import DEFAULT_QUAD, KernelParams, QuadratureSpec
 __all__ = [
     "AccuracyError",
     "DegenerateIterateError",
+    "FieldFormatError",
     "GridMismatchError",
     "MixlapError",
     "DEFAULT_QUAD",

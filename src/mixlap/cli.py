@@ -12,12 +12,14 @@ over file values.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 
 import numpy as np
+from scipy import fft
 
 from . import __version__
 from . import analysis, kernels, mc, solver, spectral
@@ -103,11 +105,14 @@ def _write_manifest(outdir, command, config, passed, t_start):
     return manifest
 
 
-def _apply_threads(args):
+def _fft_workers(args):
+    """Context setting the worker threads of scipy.fft (the spectral FFTs)."""
     threads = _resolve(args, "threads", int, None)
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    if threads is None:
+        return contextlib.nullcontext()
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    return fft.set_workers(threads)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +348,7 @@ def build_parser():
         p.add_argument("--rel-tol", dest="rel_tol", help="quadrature relative tolerance")
         p.add_argument("--abs-tol", dest="abs_tol", help="quadrature absolute tolerance")
         p.add_argument("--max-zeros", dest="max_zeros", help="Bessel-zero partition cap")
-        p.add_argument("--threads", help="thread cap for internal parallelism")
+        p.add_argument("--threads", help="worker threads of the spectral FFTs")
         p.add_argument("--seed", help="RNG seed where applicable")
 
     p = sub.add_parser("kernel-tab", help="tabulate a kernel profile to CSV")
@@ -379,7 +384,7 @@ def build_parser():
 
     p = sub.add_parser("asymptotics", help="verify the kernel tail constant")
     common(p)
-    p.add_argument("--radii", help="comma-separated radii (unitary-frequency scale)")
+    p.add_argument("--radii", help="comma-separated radii |x| (literal radius)")
     p.add_argument("--eta", help="comma-separated classical-scale weights")
 
     return parser
@@ -391,8 +396,8 @@ def main(argv=None):
     t_start = time.time()
     try:
         args = _merge_config(args, parser)
-        _apply_threads(args)
-        code, config, passed = _COMMANDS[args.command](args)
+        with _fft_workers(args):
+            code, config, passed = _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,3 +22,11 @@ class DegenerateIterateError(MixlapError):
 
 class GridMismatchError(MixlapError):
     """Operands live on different grids."""
+
+
+class FieldFormatError(MixlapError, ValueError):
+    """A stored field does not match its header.
+
+    Also a ValueError: like any malformed input, the CLI reports it as a
+    usage error (exit 2).
+    """

@@ -18,7 +18,6 @@ verification suite checks the literal-radius limit against
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AccuracyError
+from .fileio import atomic_write
 from .inversion import radial_inverse_fourier, radial_symbol_integral
 from .params import DEFAULT_QUAD, KernelParams, QuadratureSpec
 from .special import gamma
@@ -64,7 +64,7 @@ class RadialProfile:
 
     def write_csv(self, path, quad=None):
         path = str(path)
-        _atomic_write(path, "radius,value\n" + "\n".join(
+        atomic_write(path, "radius,value\n" + "\n".join(
             f"{r:.17g},{v:.17g}" for r, v in zip(self.radii, self.values)
         ))
         sidecar = {
@@ -79,7 +79,7 @@ class RadialProfile:
             },
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        _atomic_write(_sidecar_path(path), json.dumps(sidecar, indent=2))
+        atomic_write(_sidecar_path(path), json.dumps(sidecar, indent=2))
 
     @classmethod
     def read_csv(cls, path):
@@ -95,19 +95,6 @@ class RadialProfile:
 def _sidecar_path(csv_path):
     base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
     return base + ".json"
-
-
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)  # atomic: concurrent writers are last-write-wins
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def cache_dir():

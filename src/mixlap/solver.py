@@ -22,6 +22,7 @@ from .spectral import (
     RealField,
     apply_operator,
     apply_resolvent,
+    half_symbol,
     norms,
     positive_part_power,
 )
@@ -91,6 +92,7 @@ class SolveReport:
             if self.stabilizer_history
             else None,
             "converged": self.converged,
+            "stabilizer_history": list(self.stabilizer_history),
         }
 
 
@@ -149,6 +151,13 @@ def solve_ground_state(grid, params, cfg, u0=None):
     alone can stall.  Returns (field, SolveReport); a non-converged run is
     reported, not raised.
     """
+    try:
+        return _solve(grid, params, cfg, u0)
+    finally:
+        half_symbol.cache_clear()  # the symbol lives only as long as the solve
+
+
+def _solve(grid, params, cfg, u0):
     cfg.check_subcritical(grid.n)
     if cfg.init == "custom-field":
         if u0 is None:

@@ -7,15 +7,22 @@ Fourier multiplier w^2 + w^{2s} with the angular wavenumber w = 2 pi |xi|,
 i.e. the multiplier of the classical Laplacian plus its fractional power,
 so that plane waves e^{2 pi i xi.x} are eigenfunctions with the continuum
 eigenvalues.
+
+Fields are real, so the operator, resolvent and norms work on the real-FFT
+half spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the
+symbol built once per (grid, s) by ``half_symbol``.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
-from .errors import GridMismatchError
+from .errors import FieldFormatError, GridMismatchError
+from .fileio import atomic_write
 from .params import KernelParams
 
 _CONJ_SYM_TOL = 1e-12
@@ -64,16 +71,6 @@ class GridSpec:
         if center is None:
             center = (0.0,) * self.n
         return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
-
-    def angular_wavenumber_sq(self):
-        """w^2 = |2 pi xi_k|^2 on the full FFT frequency layout."""
-        w1 = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.spacing)
-        out = np.zeros(self.shape)
-        for ax in range(self.n):
-            shape = [1] * self.n
-            shape[ax] = self.N
-            out = out + (w1 ** 2).reshape(shape)
-        return out
 
 
 @dataclass
@@ -147,31 +144,84 @@ def operator_symbol(w_sq, s):
     return w_sq + w_sq ** s
 
 
+@dataclass(frozen=True)
+class HalfSymbol:
+    """Symbol arrays of one (grid, s) on the ``rfftn`` half layout.
+
+    ``weight`` counts each kept mode together with its dropped conjugate
+    partner, so that sum(weight * |c|^2) over the half layout equals
+    sum(|c|^2) over the full one: 1 on the zero and Nyquist planes of the
+    last axis, whose partners lie in the same plane, and 2 elsewhere.  It is
+    shaped to broadcast along the last axis.  The arrays are read-only.
+    """
+
+    w_sq: np.ndarray
+    w_2s: np.ndarray
+    multiplier: np.ndarray
+    weight: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def half_symbol(grid, s):
+    """w^2, w^{2s}, operator_symbol and Parseval weights of ``grid`` at order ``s``.
+
+    One entry is cached: a solve reuses its symbol on every step, and
+    ``solve_ground_state`` clears the cache on return so that the arrays
+    live no longer than the solve.
+    """
+    w_axis = 2.0 * np.pi * fft.fftfreq(grid.N, d=grid.spacing)
+    w_last = 2.0 * np.pi * fft.rfftfreq(grid.N, d=grid.spacing)
+    w_sq = sum(w ** 2 for w in np.ix_(*([w_axis] * (grid.n - 1) + [w_last])))
+    weight = np.full(w_last.size, 2.0)
+    weight[0] = weight[-1] = 1.0
+    sym = HalfSymbol(
+        w_sq=w_sq,
+        w_2s=w_sq ** s,
+        multiplier=operator_symbol(w_sq, s),
+        weight=weight.reshape((1,) * (grid.n - 1) + (-1,)),
+    )
+    for arr in (sym.w_sq, sym.w_2s, sym.multiplier, sym.weight):
+        arr.flags.writeable = False
+    return sym
+
+
+def _field_from_half(c, grid):
+    return RealField(grid, fft.irfftn(c, s=grid.shape))
+
+
 def apply_operator(f, params, include_identity=False):
     """Apply -Laplacian + (-Laplacian)^s (optionally + identity) spectrally."""
-    m = operator_symbol(f.grid.angular_wavenumber_sq(), params.s)
+    m = half_symbol(f.grid, params.s).multiplier
     if include_identity:
         m = m + 1.0
-    out = np.fft.ifftn(m * np.fft.fftn(f.data))
-    return RealField(f.grid, out.real)
+    c = fft.rfftn(f.data)
+    c *= m
+    return _field_from_half(c, f.grid)
 
 
 def apply_resolvent(f, params):
     """Invert identity + operator: divide by 1 + w^2 + w^{2s} in frequency space."""
-    m = operator_symbol(f.grid.angular_wavenumber_sq(), params.s)
-    out = np.fft.ifftn(np.fft.fftn(f.data) / (1.0 + m))
-    return RealField(f.grid, out.real)
+    m = half_symbol(f.grid, params.s).multiplier
+    c = fft.rfftn(f.data)
+    c /= 1.0 + m
+    return _field_from_half(c, f.grid)
+
+
+def _parseval_scale(grid):
+    """Box volume over N^{2n}: turns weighted sums of |rfftn|^2 into integrals."""
+    return (2.0 * grid.L) ** grid.n / float(grid.N) ** (2 * grid.n)
 
 
 def inner_product_s(f, g, params):
     """The H^1-equivalent inner product <f, (1 + w^2 + w^{2s}) g> on the box."""
     _require_same_grid(f, g)
     grid = f.grid
-    m = operator_symbol(grid.angular_wavenumber_sq(), params.s)
-    cf = np.fft.fftn(f.data) / grid.N ** grid.n
-    cg = np.fft.fftn(g.data) / grid.N ** grid.n
-    vol = (2.0 * grid.L) ** grid.n
-    return float(vol * np.sum((1.0 + m) * np.conj(cf) * cg).real)
+    sym = half_symbol(grid, params.s)
+    cf = fft.rfftn(f.data)
+    cg = fft.rfftn(g.data)
+    cross = cf.real * cg.real + cf.imag * cg.imag  # Re(conj(cf) cg)
+    total = np.sum(sym.weight * (1.0 + sym.multiplier) * cross)
+    return float(_parseval_scale(grid) * total)
 
 
 def norms(f, params, p=None):
@@ -182,12 +232,15 @@ def norms(f, params, p=None):
     (Parseval-exact) quadrature; sobolev_s^2 = l2^2 + h1^2 + hs^2.
     """
     grid = f.grid
-    c = np.abs(np.fft.fftn(f.data) / grid.N ** grid.n) ** 2
-    vol = (2.0 * grid.L) ** grid.n
-    w_sq = grid.angular_wavenumber_sq()
-    l2_sq = vol * c.sum()
-    h1_sq = vol * (w_sq * c).sum()
-    hs_sq = vol * (w_sq ** params.s * c).sum()
+    sym = half_symbol(grid, params.s)
+    c = fft.rfftn(f.data)
+    power = c.real ** 2
+    power += c.imag ** 2
+    power *= sym.weight
+    scale = _parseval_scale(grid)
+    l2_sq = scale * power.sum()
+    h1_sq = scale * (sym.w_sq * power).sum()
+    hs_sq = scale * (sym.w_2s * power).sum()
     out = {
         "l2": float(np.sqrt(l2_sq)),
         "h1_seminorm": float(np.sqrt(h1_sq)),
@@ -235,21 +288,34 @@ def positive_part_power(f, p, dealias=False):
 
 
 def write_field(path, f):
-    """Write a field as little-endian float64 with a JSON header sidecar."""
+    """Write a field as little-endian float64 with a JSON header sidecar.
+
+    Both files are written atomically, the data first, so a reader never
+    sees a partial data file.
+    """
     path = str(path)
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    f.data.astype("<f8").tofile(path)
+    atomic_write(path, np.ascontiguousarray(f.data, dtype="<f8"))
     header = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N}
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, indent=2)
+    atomic_write(path + ".json", json.dumps(header, indent=2))
 
 
 def read_field(path):
+    """Read a field written by ``write_field``.
+
+    Raises FieldFormatError when the data file's size is not the
+    8 N^n bytes its header implies.
+    """
     path = str(path)
     with open(path + ".json") as fh:
         header = json.load(fh)
     grid = GridSpec(n=header["n"], L=header["L"], N=header["N"])
+    expected = 8 * grid.N ** grid.n
+    actual = os.path.getsize(path)
+    if actual != expected:
+        raise FieldFormatError(
+            f"{path}: {actual} bytes, but the header's grid "
+            f"(n={grid.n}, N={grid.N}) needs {expected}"
+        )
     data = np.fromfile(path, dtype="<f8").reshape(grid.shape)
     return RealField(grid, data)
 

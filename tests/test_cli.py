@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mixlap import spectral
 from mixlap.cli import main
 
 
@@ -76,6 +77,30 @@ class TestSolveAnalyze:
         ])
         assert code == 3
 
+    def test_report_exports_stabilizer_history(self, tmp_path):
+        out = tmp_path / "solve"
+        code = main([
+            "solve", "--n", "2", "--s", "0.5", "--p", "3",
+            "--L", "15", "--N", "64", "--output-dir", str(out),
+        ])
+        assert code == 0
+        report = read_json(out / "solve-report.json")
+        history = report["stabilizer_history"]
+        assert len(history) == report["iterations"]
+        assert history[-1] == report["stabilizer_final"]
+
+    def test_truncated_field_is_usage_error(self, tmp_path, capsys):
+        grid = spectral.GridSpec(2, 15.0, 64)
+        path = tmp_path / "u.bin"
+        spectral.write_field(path, spectral.RealField(grid, np.ones(grid.shape)))
+        path.write_bytes(path.read_bytes()[:-8])
+        code = main([
+            "analyze", "--n", "2", "--s", "0.5", "--field", str(path),
+            "--output-dir", str(tmp_path / "an"),
+        ])
+        assert code == 2
+        assert "bytes" in capsys.readouterr().err
+
     def test_invalid_grid_is_usage_error(self, tmp_path):
         code = main([
             "solve", "--n", "2", "--s", "0.5", "--p", "3",
@@ -143,6 +168,27 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
                      "--p", "3"])
+        assert code == 2
+
+
+class TestThreads:
+    def test_fft_workers_do_not_change_the_field(self, tmp_path):
+        fields = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            code = main([
+                "solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15",
+                "--N", "64", "--threads", threads, "--output-dir", str(out),
+            ])
+            assert code == 0
+            fields.append((out / "ground_state.bin").read_bytes())
+        assert fields[0] == fields[1]
+
+    def test_nonpositive_thread_count_is_usage_error(self, tmp_path):
+        code = main([
+            "solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15",
+            "--N", "64", "--threads", "0", "--output-dir", str(tmp_path / "o"),
+        ])
         assert code == 2
 
 

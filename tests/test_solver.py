@@ -151,6 +151,11 @@ class TestSolve:
         back = np.roll(u2.data, (-shift[0], -shift[1]), axis=(0, 1))
         assert np.abs(back - u.data).max() < 1e-8
 
+    def test_symbol_cache_cleared_on_return(self):
+        grid = S.GridSpec(2, 10.0, 32)
+        V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0, max_iter=2))
+        assert S.half_symbol.cache_info().currsize == 0
+
     def test_custom_field_requires_u0(self):
         grid = S.GridSpec(2, 10.0, 32)
         with pytest.raises(ValueError):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from mixlap.errors import GridMismatchError
+from mixlap.errors import FieldFormatError, GridMismatchError
 from mixlap.params import KernelParams
 from mixlap import spectral as S
 
 P2 = KernelParams(2, 0.5)
 GRID = S.GridSpec(2, 10.0, 64)
+# the operator and norm tests run on a 2-D and a 3-D grid
+GRIDS = [GRID, S.GridSpec(3, 10.0, 32)]
 
 
 def random_field(grid, seed=0):
@@ -76,15 +78,16 @@ class TestTransforms:
 
 class TestOperators:
     def test_harmonic_eigenvalue(self):
-        X, _ = GRID.meshgrid()
-        xi = 3.0 / (2.0 * GRID.L)
-        f = S.RealField(GRID, np.cos(2.0 * np.pi * xi * X))
-        w_sq = (2.0 * np.pi * xi) ** 2
-        lam = w_sq + w_sq ** P2.s
-        out = S.apply_operator(f, P2)
-        assert np.abs(out.data - lam * f.data).max() / lam < 1e-12
-        out_id = S.apply_operator(f, P2, include_identity=True)
-        assert np.abs(out_id.data - (lam + 1) * f.data).max() / lam < 1e-12
+        for grid in GRIDS:
+            X = grid.meshgrid()[0]
+            xi = 3.0 / (2.0 * grid.L)
+            f = S.RealField(grid, np.cos(2.0 * np.pi * xi * X))
+            w_sq = (2.0 * np.pi * xi) ** 2
+            lam = w_sq + w_sq ** P2.s
+            out = S.apply_operator(f, P2)
+            assert np.abs(out.data - lam * f.data).max() / lam < 1e-12, grid
+            out_id = S.apply_operator(f, P2, include_identity=True)
+            assert np.abs(out_id.data - (lam + 1) * f.data).max() / lam < 1e-12, grid
 
     def test_symbol_midpoint_value(self):
         assert S.operator_symbol(1.0, 0.5) == pytest.approx(2.0)
@@ -96,9 +99,10 @@ class TestOperators:
         assert np.abs(both.data - sep).max() < 1e-10
 
     def test_resolvent_inverts(self):
-        f = random_field(GRID, 3)
-        back = S.apply_operator(S.apply_resolvent(f, P2), P2, include_identity=True)
-        assert np.abs(back.data - f.data).max() / np.abs(f.data).max() < 1e-10
+        for grid in GRIDS:
+            f = random_field(grid, 3)
+            back = S.apply_operator(S.apply_resolvent(f, P2), P2, include_identity=True)
+            assert np.abs(back.data - f.data).max() / np.abs(f.data).max() < 1e-10, grid
 
     def test_resolvent_zero_mode(self):
         f = S.RealField(GRID, np.ones(GRID.shape))
@@ -136,10 +140,11 @@ class TestNorms:
         assert all(v == 0.0 for v in nm.values())
 
     def test_parseval(self):
-        f = random_field(GRID, 6)
-        nm = S.norms(f, P2)
-        direct = GRID.cell_volume * np.sum(f.data ** 2)
-        assert nm["l2"] ** 2 == pytest.approx(direct, rel=1e-12)
+        for grid in GRIDS:
+            f = random_field(grid, 6)
+            nm = S.norms(f, P2)
+            direct = grid.cell_volume * np.sum(f.data ** 2)
+            assert nm["l2"] ** 2 == pytest.approx(direct, rel=1e-12), grid
 
     def test_single_harmonic_closed_form(self):
         X, _ = GRID.meshgrid()
@@ -159,11 +164,12 @@ class TestNorms:
         )
 
     def test_sobolev_composition(self):
-        f = random_field(GRID, 7)
-        nm = S.norms(f, P2)
-        assert nm["sobolev_s"] ** 2 == pytest.approx(
-            nm["l2"] ** 2 + nm["h1_seminorm"] ** 2 + nm["hs_seminorm"] ** 2, rel=1e-12
-        )
+        for grid in GRIDS:
+            nm = S.norms(random_field(grid, 7), P2)
+            assert nm["sobolev_s"] ** 2 == pytest.approx(
+                nm["l2"] ** 2 + nm["h1_seminorm"] ** 2 + nm["hs_seminorm"] ** 2,
+                rel=1e-12,
+            ), grid
 
     def test_symbol_domination(self):
         # w^{2s} <= 1 + w^2 pointwise, hence hs^2 <= l2^2 + h1^2
@@ -176,13 +182,53 @@ class TestNorms:
             S.norms(random_field(GRID), P2, p=0.5)
 
     def test_inner_product_consistency(self):
-        f = random_field(GRID, 8)
-        nm = S.norms(f, P2)
-        assert S.inner_product_s(f, f, P2) == pytest.approx(
-            nm["sobolev_s"] ** 2, rel=1e-12
-        )
+        for grid in GRIDS:
+            f = random_field(grid, 8)
+            nm = S.norms(f, P2)
+            assert S.inner_product_s(f, f, P2) == pytest.approx(
+                nm["sobolev_s"] ** 2, rel=1e-12
+            ), grid
         with pytest.raises(GridMismatchError):
             S.inner_product_s(f, random_field(S.GridSpec(2, 10.0, 32)), P2)
+
+
+class TestFullLayoutOracle:
+    """The half-spectrum transforms against complex FFTs on the full layout."""
+
+    @staticmethod
+    def full_layout(f, s):
+        grid = f.grid
+        w = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.spacing)
+        w_sq = sum(wa ** 2 for wa in np.ix_(*([w] * grid.n)))
+        m = w_sq + w_sq ** s
+        c = np.fft.fftn(f.data)
+        power = np.abs(c / grid.N ** grid.n) ** 2
+        vol = (2.0 * grid.L) ** grid.n
+        l2, h1, hs = (vol * np.sum(weight * power) for weight in (1.0, w_sq, w_sq ** s))
+        return {
+            "operator": np.fft.ifftn(m * c).real,
+            "resolvent": np.fft.ifftn(c / (1.0 + m)).real,
+            "l2": np.sqrt(l2),
+            "h1_seminorm": np.sqrt(h1),
+            "hs_seminorm": np.sqrt(hs),
+            "sobolev_s": np.sqrt(l2 + h1 + hs),
+        }
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["n2", "n3"])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_matches_full_layout(self, grid, s):
+        params = KernelParams(grid.n, s)
+        # a random field plus a strong checkerboard: the Nyquist mode of every axis
+        checker = sum(np.indices(grid.shape)) % 2 * 2.0 - 1.0
+        f = S.RealField(grid, random_field(grid, 13).data + 3.0 * checker)
+        ref = self.full_layout(f, s)
+        for name, out in (("operator", S.apply_operator(f, params)),
+                          ("resolvent", S.apply_resolvent(f, params))):
+            scale = np.abs(ref[name]).max()
+            assert np.abs(out.data - ref[name]).max() / scale < 1e-12, name
+        nm = S.norms(f, params)
+        for key in ("l2", "h1_seminorm", "hs_seminorm", "sobolev_s"):
+            assert nm[key] == pytest.approx(ref[key], rel=1e-12), key
 
 
 class TestNonlinearity:
@@ -221,6 +267,26 @@ class TestSerialization:
         S.write_field(path, f)
         header = json.loads((tmp_path / "field.bin.json").read_text())
         assert header == {"n": 2, "L": 10.0, "N": 64}
+
+    def test_files_get_the_umask_mode(self, tmp_path):
+        import os
+
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "field.bin"
+        S.write_field(path, random_field(GRID, 15))
+        for p in (path, tmp_path / "field.bin.json"):
+            assert p.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["field.bin", "field.bin.json"]
+
+    @pytest.mark.parametrize("nbytes", [-8, 8])
+    def test_size_mismatch_rejected(self, tmp_path, nbytes):
+        path = tmp_path / "field.bin"
+        S.write_field(path, random_field(GRID, 14))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:nbytes] if nbytes < 0 else raw + bytes(nbytes))
+        with pytest.raises(FieldFormatError, match="bytes"):
+            S.read_field(path)
 
     def test_axis_slice_csv(self, tmp_path):
         f = random_field(GRID, 12)
