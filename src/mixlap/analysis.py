@@ -13,6 +13,7 @@ import numpy as np
 from scipy import interpolate
 
 from .errors import MixlapError
+from .fileio import atomic_write
 from .kernels import RadialProfile, tabulate_kernel
 from .params import DEFAULT_QUAD, KernelParams
 
@@ -257,5 +258,4 @@ def check_report(check, statistic, threshold, passed, window=None, **extra):
 
 
 def write_report(path, records):
-    with open(str(path), "w") as fh:
-        json.dump(records, fh, indent=2)
+    atomic_write(str(path), json.dumps(records, indent=2))

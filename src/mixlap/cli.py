@@ -13,6 +13,7 @@ over file values.
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from scipy import fft
 from . import __version__
 from . import analysis, kernels, mc, solver, spectral
 from .errors import AccuracyError, MixlapError
+from .fileio import atomic_write
 from .params import KernelParams, QuadratureSpec
 
 EXIT_OK = 0
@@ -99,9 +101,7 @@ def _write_manifest(outdir, command, config, passed, t_start):
         "wall_time_s": time.time() - t_start,
         "pass": bool(passed),
     }
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    atomic_write(os.path.join(outdir, "manifest.json"), json.dumps(manifest, indent=2))
     return manifest
 
 
@@ -212,8 +212,8 @@ def _cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u)
-    with open(os.path.join(outdir, "solve-report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    atomic_write(os.path.join(outdir, "solve-report.json"),
+                 json.dumps(report.to_dict(), indent=2))
     config = {"n": params.n, "s": params.s, "p": cfg.p, "L": grid.L, "N": grid.N,
               "tol_residual": cfg.tol_residual, "max_iter": cfg.max_iter,
               "seed": cfg.seed}
@@ -314,9 +314,7 @@ def _cmd_asymptotics(args):
     report = {"check": "asymptotic-constant", "tail_constant": alpha,
               "rows": rows, "rel_err_at_largest_radius": worst,
               "threshold": 0.05, "pass": passed}
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "asymptotics.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+    atomic_write(os.path.join(outdir, "asymptotics.json"), json.dumps(report, indent=2))
     config = {"n": params.n, "s": params.s, "radii": radii, "eta": etas}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
@@ -331,7 +329,13 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process.
+
+    Safe to share: ``parse_args`` returns a fresh namespace on every call and
+    leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="mixlap",
         description="Kernels, ground states and verification suites for the "

@@ -42,17 +42,22 @@ def _panelize(breaks, w_cap, w_rel=0.0):
 
     Panel width is capped at max(w_cap, w_rel * lo): symbols that only vary
     on scales proportional to r (the rational ones) need no absolute cap far
-    from the origin.
+    from the origin.  Interval i gets m_i panels whose k-th edge is
+    k * ((hi - lo) / m_i) + lo and whose last edge is exactly hi, which is
+    ``np.linspace(lo, hi, m_i + 1)`` to the bit; breaks must be strictly
+    increasing.
     """
-    los, his = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        width = hi - lo
-        cap = max(w_cap, w_rel * lo)
-        m = 1 if not np.isfinite(cap) else max(1, int(np.ceil(width / cap)))
-        edges = np.linspace(lo, hi, m + 1)
-        los.append(edges[:-1])
-        his.append(edges[1:])
-    return np.concatenate(los), np.concatenate(his)
+    lo, hi = breaks[:-1], breaks[1:]
+    width = hi - lo
+    # an infinite cap gives width / cap = 0, hence one panel
+    m = np.maximum(1, np.ceil(width / np.maximum(w_cap, w_rel * lo))).astype(np.int64)
+    ends = np.cumsum(m)
+    owner = np.repeat(np.arange(len(m)), m)  # interval of each panel
+    k = np.arange(ends[-1]) - (ends - m)[owner]  # panel index within its interval
+    p_lo = k * (width / m)[owner] + lo[owner]
+    # each panel ends where the next begins; an interval's first panel
+    # begins exactly at its break
+    return p_lo, np.append(p_lo[1:], breaks[-1])
 
 
 def _graded_head(hi, w_cap, w_rel=0.0):
@@ -95,10 +100,10 @@ def _wynn_epsilon(partial_sums):
     last_even = s[-1]
     for col in range(1, m):
         diff = cur[1:] - cur[:-1]
-        if len(diff) == 0 or np.any(np.abs(diff) < 1e-300):
+        if len(diff) == 0 or (np.abs(diff) < 1e-300).any():
             break
         nxt = prev[1 : len(cur)] + 1.0 / diff
-        if not np.all(np.isfinite(nxt)):
+        if not np.isfinite(nxt).all():
             break
         prev, cur = cur, nxt
         if col % 2 == 0:  # even columns approximate the limit
@@ -107,6 +112,20 @@ def _wynn_epsilon(partial_sums):
             if err < best_err:
                 best_val, best_err = cur[-1], err
     return best_val, best_err
+
+
+def _first_settled(tail_mag, sums, abs_floor, rel_tol):
+    """First k >= 3 at which every term from k - 2 on is below 5% of the tolerance.
+
+    The tolerance at k is max(abs_floor, rel_tol * |sums[k]|); returns None
+    if no k qualifies.  A reverse running maximum gives max(tail_mag[k - 2:])
+    for every k at once.
+    """
+    ks = np.arange(3, len(tail_mag))
+    tail_max = np.maximum.accumulate(tail_mag[::-1])[::-1]
+    # fmax, like the scalar max(), keeps abs_floor when a partial sum is NaN
+    settled = tail_max[ks - 2] <= 0.05 * np.fmax(abs_floor, rel_tol * np.abs(sums[ks]))
+    return int(ks[settled.argmax()]) if settled.any() else None
 
 
 def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
@@ -168,13 +187,14 @@ def radial_inverse_fourier(
     np.add.at(terms, interval_idx, panel_vals)
 
     sums = head + np.cumsum(terms)
-    tol = lambda v: max(quad.abs_tol / max(abs(pref), 1e-300), quad.rel_tol * abs(v))
+    abs_floor = quad.abs_tol / max(abs(pref), 1e-300)
+    tol = lambda v: max(abs_floor, quad.rel_tol * abs(v))
 
     # plain summation if the envelope has already killed the tail
     tail_mag = np.abs(terms)
-    for k in range(3, n_terms):
-        if tail_mag[k - 2 :].max(initial=0.0) <= 0.05 * tol(sums[k]):
-            return pref * sums[k]
+    k = _first_settled(tail_mag, sums, abs_floor, quad.rel_tol)
+    if k is not None:
+        return pref * sums[k]
 
     if quad.tail_accel == "none":
         est = tail_mag[-1]

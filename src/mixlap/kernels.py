@@ -34,6 +34,11 @@ UNITARY_RADIUS_SCALE = 2.0 * np.pi  # unitary-frequency radius R = 2 pi |x|
 
 _ENVELOPE_LOG_CUT = 60.0  # exp(-60) ~ 9e-27: where exponential envelopes die
 
+# Part of every kernel-cache key.  Bump it whenever a change can alter the
+# values the quadrature returns, so that no cached profile computed by an
+# older engine is ever served.
+_ENGINE_VERSION = 1
+
 
 # ---------------------------------------------------------------------------
 # profiles and on-disk tabulation cache
@@ -106,7 +111,8 @@ def cache_dir():
 
 def _cache_key(label, params, quad, radii, extra=()):
     h = hashlib.sha256()
-    h.update(repr((label, params.n, params.s, quad.cache_key_fields(), tuple(extra))).encode())
+    h.update(repr((_ENGINE_VERSION, label, params.n, params.s, quad.cache_key_fields(),
+                   tuple(extra))).encode())
     h.update(np.ascontiguousarray(radii, dtype=float).tobytes())
     return h.hexdigest()[:24]
 
@@ -184,22 +190,6 @@ def asymptotic_alpha(params):
     )
 
 
-def asymptotic_beta(params):
-    """Gradient-scale constant 2^{n+2s} pi^{n/2-1} sin(pi s) Gamma(n/2+s) Gamma(s+1).
-
-    Equal to asymptotic_alpha by the Gamma recurrence; kept as a separate
-    entry point because it is quoted against first-difference decay.
-    """
-    n, s = params.n, params.s
-    return (
-        2.0 ** (n + 2.0 * s)
-        * np.pi ** (n / 2.0 - 1.0)
-        * np.sin(np.pi * s)
-        * gamma(n / 2.0 + s)
-        * gamma(s + 1.0)
-    )
-
-
 def heat_tail_constant(params):
     """Limit of |x|^{n+2s} H(x, 1, eta) in the coordinates used here.
 
@@ -274,11 +264,6 @@ def bessel_kernel_time_integral(x_norm, params, quad=DEFAULT_QUAD):
     return val
 
 
-def bessel_tail_constant(params):
-    """Limit of |x|^{n+2s} K(x); identical to the heat-kernel tail constant."""
-    return heat_tail_constant(params)
-
-
 _KERNEL_EVALUATORS = {
     "heat": lambda r, params, quad, extra: heat_kernel(r, extra["t"], params, quad),
     "heat-two-scale": lambda r, params, quad, extra: heat_kernel_two_scale(
@@ -299,8 +284,8 @@ def tabulate_kernel(label, radii, params, quad=DEFAULT_QUAD, use_cache=True, **e
 
     ``label`` is one of heat, heat-two-scale, bessel, bessel-shifted,
     resolvent-multiplier; keyword arguments supply the per-kernel extras
-    (t, t1/t2, a).  Cached profiles are keyed by label, parameters,
-    quadrature settings, extras and the radius grid.
+    (t, t1/t2, a).  Cached profiles are keyed by the engine version, label,
+    parameters, quadrature settings, extras and the radius grid.
     """
     if label not in _KERNEL_EVALUATORS:
         raise ValueError(f"unknown kernel label {label!r}")

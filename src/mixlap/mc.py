@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write
 from .kernels import heat_kernel
 from .params import DEFAULT_QUAD, KernelParams
 from .special import gamma
@@ -220,5 +221,4 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
 
 
 def write_report(path, report):
-    with open(str(path), "w") as fh:
-        json.dump(report, fh, indent=2)
+    atomic_write(str(path), json.dumps(report, indent=2))

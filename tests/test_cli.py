@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mixlap import spectral
+from mixlap import analysis, mc, spectral
 from mixlap.cli import main
 
 
@@ -34,6 +34,19 @@ class TestKernelTab:
         assert manifest["command"] == "kernel-tab"
         assert manifest["pass"] is True
         assert "mixlap" in manifest["versions"]
+
+    def test_second_call_inherits_no_options(self, tmp_path):
+        # the parser is built once per process; nothing of one call's
+        # arguments may reach the next
+        out = tmp_path / "out"
+        base = ["kernel-tab", "--n", "2", "--s", "0.5", "--radii", "0.5,1",
+                "--output-dir", str(out)]
+        assert main(base + ["--kernel", "heat", "--t", "1"]) == 0
+        assert read_json(out / "manifest.json")["config"]["t"] == 1.0
+        assert main(base + ["--kernel", "bessel"]) == 0
+        config = read_json(out / "manifest.json")["config"]
+        assert config["kernel"] == "bessel"
+        assert "t" not in config
 
     def test_missing_radii_is_usage_error(self, tmp_path, capsys):
         code = main([
@@ -132,6 +145,18 @@ class TestMcValidate:
         assert code == 0
         assert read_json(out / "mc-char.json")["pass"] is True
         assert read_json(out / "mc-density.json")["pass"] is True
+
+
+class TestReports:
+    @pytest.mark.parametrize("write_report", [mc.write_report, analysis.write_report])
+    def test_failed_serialisation_keeps_the_old_report(self, tmp_path, write_report):
+        path = tmp_path / "report.json"
+        write_report(path, {"check": "ok", "pass": True})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_report(path, {"check": "bad", "value": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestConfigFile:

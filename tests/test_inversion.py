@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from mixlap import inversion, kernels
 from mixlap.errors import AccuracyError
 from mixlap.inversion import (
     radial_inverse_fourier,
     radial_symbol_integral,
     sphere_surface_area,
 )
-from mixlap.params import QuadratureSpec
+from mixlap.params import KernelParams, QuadratureSpec
 
 
 def gaussian_symbol(t2):
@@ -91,3 +92,76 @@ class TestEngineContracts:
     def test_sphere_surface_area(self):
         assert sphere_surface_area(2) == pytest.approx(2.0 * np.pi, rel=1e-14)
         assert sphere_surface_area(3) == pytest.approx(4.0 * np.pi, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised engine against the per-interval loops it replaced
+
+
+def reference_panelize(breaks, w_cap, w_rel=0.0):
+    los, his = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        width = hi - lo
+        cap = max(w_cap, w_rel * lo)
+        m = 1 if not np.isfinite(cap) else max(1, int(np.ceil(width / cap)))
+        edges = np.linspace(lo, hi, m + 1)
+        los.append(edges[:-1])
+        his.append(edges[1:])
+    return np.concatenate(los), np.concatenate(his)
+
+
+def reference_first_settled(tail_mag, sums, abs_floor, rel_tol):
+    for k in range(3, len(tail_mag)):
+        tol = max(abs_floor, rel_tol * abs(sums[k]))
+        if tail_mag[k - 2 :].max(initial=0.0) <= 0.05 * tol:
+            return k
+    return None
+
+
+class TestVectorisedEngine:
+    @pytest.mark.parametrize("w_cap", [np.inf, 0.3])
+    @pytest.mark.parametrize("w_rel", [0.0, 0.5])
+    def test_panelize_matches_linspace_loop(self, w_cap, w_rel):
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 40, 400):
+            # spacings from well below to well above a 0.3 cap
+            breaks = np.cumsum(rng.exponential(1.0, size) * 10.0 ** rng.uniform(-3, 1, size))
+            got_lo, got_hi = inversion._panelize(breaks, w_cap, w_rel)
+            ref_lo, ref_hi = reference_panelize(breaks, w_cap, w_rel)
+            assert np.array_equal(got_lo, ref_lo)
+            assert np.array_equal(got_hi, ref_hi)
+
+    def test_panelize_on_the_graded_head(self):
+        for hi, w_cap, w_rel in ((0.4, np.inf, 0.0), (3.7, 0.25, 0.5), (50.0, 0.5, 0.0)):
+            got = inversion._graded_head(hi, w_cap, w_rel)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inversion, "_panelize", reference_panelize)
+                ref = inversion._graded_head(hi, w_cap, w_rel)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_first_settled_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            size = int(rng.integers(1, 60))
+            terms = rng.normal(size=size) * np.exp(-rng.uniform(0, 1) * np.arange(size))
+            terms[rng.random(size) < 0.1] = 0.0
+            if rng.random() < 0.2:  # a NaN term poisons the partial sums after it
+                terms[rng.integers(size)] = np.nan
+            sums = rng.normal() + np.cumsum(terms)
+            args = (np.abs(terms), sums, 10.0 ** rng.uniform(-14, -2), 1e-8)
+            assert inversion._first_settled(*args) == reference_first_settled(*args)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernels_bitwise_equal_to_loop_engine(self, n, monkeypatch):
+        params = KernelParams(n, 0.37)
+        evaluators = [
+            lambda x: kernels.heat_kernel(x, 1.0, params),
+            lambda x: kernels.bessel_kernel(x, params),
+            lambda x: kernels.resolvent_multiplier_kernel(x, params),
+        ]
+        radii = (0.01, 1.0, 100.0)
+        got = [ev(x) for ev in evaluators for x in radii]
+        monkeypatch.setattr(inversion, "_panelize", reference_panelize)
+        monkeypatch.setattr(inversion, "_first_settled", reference_first_settled)
+        ref = [ev(x) for ev in evaluators for x in radii]
+        assert got == ref

@@ -74,12 +74,6 @@ class TestAsymptoticConstants:
         assert K.asymptotic_alpha(KernelParams(1, 0.5)) == pytest.approx(2.0, rel=1e-12)
         assert K.asymptotic_alpha(P2) == pytest.approx(2.0 * np.pi, rel=1e-12)
 
-    def test_beta_equals_alpha(self):
-        for params in (KernelParams(1, 0.5), KernelParams(3, 0.25), P2):
-            assert K.asymptotic_beta(params) == pytest.approx(
-                K.asymptotic_alpha(params), rel=1e-13
-            )
-
     def test_tail_constant_units(self):
         # alpha is stated for the unitary-frequency radius 2 pi |x|
         pw = P2.n + 2 * P2.s
@@ -239,6 +233,23 @@ class TestTabulationCache:
         radii = np.array([0.5, 1.0])
         K.tabulate_kernel("heat", radii, P2, t=1.0)
         K.tabulate_kernel("heat", radii, P2, t=2.0)
+        assert len(list(cache.glob("*.csv"))) == 2
+
+    def test_engine_version_is_part_of_key(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache4"
+        monkeypatch.setenv("MIXLAP_CACHE_DIR", str(cache))
+        radii = np.array([0.5, 1.0])
+        K.tabulate_kernel("heat", radii, P2, t=1.0)
+        calls = []
+        evaluator = K._KERNEL_EVALUATORS["heat"]
+        monkeypatch.setitem(K._KERNEL_EVALUATORS, "heat",
+                            lambda *a: calls.append(a) or evaluator(*a))
+        K.tabulate_kernel("heat", radii, P2, t=1.0)
+        assert calls == []  # same engine: a hit
+
+        monkeypatch.setattr(K, "_ENGINE_VERSION", K._ENGINE_VERSION + 1)
+        K.tabulate_kernel("heat", radii, P2, t=1.0)
+        assert len(calls) == len(radii)  # newer engine: a miss, evaluated afresh
         assert len(list(cache.glob("*.csv"))) == 2
 
     def test_unknown_label(self):
