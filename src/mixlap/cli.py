@@ -171,10 +171,8 @@ def _cmd_kernel_verify(args):
     records.append(analysis.check_report(
         "bessel-time-integral", max(cross), 1e-6, max(cross) < 1e-6))
 
-    pl_errs = []
-    for sigma in (0.5, 1.0, 2.0):
-        sp, fr = kernels.plancherel_pairing(params, sigma, quad)
-        pl_errs.append(abs(sp - fr) / abs(fr))
+    pl_errs = [abs(sp - fr) / abs(fr)
+               for sp, fr in kernels.plancherel_pairing(params, (0.5, 1.0, 2.0), quad)]
     records.append(analysis.check_report(
         "plancherel", max(pl_errs), 1e-6, max(pl_errs) < 1e-6))
 

@@ -1,4 +1,4 @@
-"""Atomic file writes shared by the kernel cache and field serialization."""
+"""Atomic file writes shared by every file the package produces."""
 
 import os
 import uuid

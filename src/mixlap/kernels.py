@@ -15,33 +15,25 @@ verification suite checks the literal-radius limit against
 ``heat_tail_constant``.
 """
 
-import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from .errors import AccuracyError
 from .fileio import atomic_write
 from .inversion import radial_inverse_fourier, radial_symbol_integral
-from .params import DEFAULT_QUAD, KernelParams, QuadratureSpec
+from .params import DEFAULT_QUAD, KernelParams
 from .special import gamma
 
 UNITARY_RADIUS_SCALE = 2.0 * np.pi  # unitary-frequency radius R = 2 pi |x|
 
 _ENVELOPE_LOG_CUT = 60.0  # exp(-60) ~ 9e-27: where exponential envelopes die
 
-# Part of every kernel-cache key.  Bump it whenever a change can alter the
-# values the quadrature returns, so that no cached profile computed by an
-# older engine is ever served.
-_ENGINE_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
-# profiles and on-disk tabulation cache
+# profiles
 
 
 @dataclass
@@ -84,37 +76,8 @@ class RadialProfile:
             },
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        atomic_write(_sidecar_path(path), json.dumps(sidecar, indent=2))
-
-    @classmethod
-    def read_csv(cls, path):
-        path = str(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        with open(_sidecar_path(path)) as fh:
-            meta = json.load(fh)
-        params = KernelParams(n=meta["n"], s=meta["s"])
-        return cls(radii=data[:, 0], values=data[:, 1], params=params,
-                   label=meta["label"])
-
-
-def _sidecar_path(csv_path):
-    base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return base + ".json"
-
-
-def cache_dir():
-    return os.environ.get(
-        "MIXLAP_CACHE_DIR",
-        os.path.join(os.path.expanduser("~"), ".cache", "mixlap"),
-    )
-
-
-def _cache_key(label, params, quad, radii, extra=()):
-    h = hashlib.sha256()
-    h.update(repr((_ENGINE_VERSION, label, params.n, params.s, quad.cache_key_fields(),
-                   tuple(extra))).encode())
-    h.update(np.ascontiguousarray(radii, dtype=float).tobytes())
-    return h.hexdigest()[:24]
+        base = path[:-4] if path.endswith(".csv") else path
+        atomic_write(base + ".json", json.dumps(sidecar, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +242,28 @@ _KERNEL_EVALUATORS = {
 }
 
 
-def tabulate_kernel(label, radii, params, quad=DEFAULT_QUAD, use_cache=True, **extra):
-    """Tabulate a named kernel on a radius grid, with an on-disk cache.
+# per-kernel values each label needs, passed to ``tabulate_kernel`` by keyword
+_KERNEL_EXTRAS = {"heat": ("t",), "heat-two-scale": ("t1", "t2"), "bessel-shifted": ("a",)}
+
+
+def tabulate_kernel(label, radii, params, quad=DEFAULT_QUAD, **extra):
+    """Tabulate a named kernel on a radius grid.
 
     ``label`` is one of heat, heat-two-scale, bessel, bessel-shifted,
     resolvent-multiplier; keyword arguments supply the per-kernel extras
-    (t, t1/t2, a).  Cached profiles are keyed by the engine version, label,
-    parameters, quadrature settings, extras and the radius grid.
+    (t, t1/t2, a).  Radii and extras are checked before any quadrature runs.
     """
     if label not in _KERNEL_EVALUATORS:
         raise ValueError(f"unknown kernel label {label!r}")
+    missing = [key for key in _KERNEL_EXTRAS.get(label, ()) if key not in extra]
+    if missing:
+        raise ValueError(f"kernel {label!r} needs " + ", ".join(f"--{k}" for k in missing))
     radii = np.asarray(radii, dtype=float)
-    key = _cache_key(label, params, quad, radii, extra=sorted(extra.items()))
-    path = os.path.join(cache_dir(), f"{label}-{key}.csv")
-    if use_cache and os.path.exists(path) and os.path.exists(_sidecar_path(path)):
-        return RadialProfile.read_csv(path)
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be a nonempty list of finite numbers")
     ev = _KERNEL_EVALUATORS[label]
     values = np.array([ev(r, params, quad, extra) for r in radii])
-    prof = RadialProfile(radii=radii, values=values, params=params, label=label)
-    if use_cache:
-        prof.write_csv(path, quad=quad)
-    return prof
+    return RadialProfile(radii=radii, values=values, params=params, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +357,15 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD, r_max=30.0):
     return area * val + tail
 
 
-def plancherel_pairing(params, sigma, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0,
+def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0,
                        n_panels=160):
-    """Both sides of the Parseval identity for K against a Gaussian test function.
+    """Both sides of the Parseval identity for K against Gaussian test functions.
 
     Test function phi(x) = exp(-|x|^2 / sigma^2), whose transform is
     (sigma sqrt(pi))^n exp(-pi^2 sigma^2 |xi|^2).  The spatial side integrates
-    a tabulated K profile; the frequency side integrates the symbol directly.
-    Returns (spatial_side, frequency_side).
+    a tabulated K profile, tabulated once for all ``sigmas``; the frequency
+    side integrates the symbol directly.  Returns one (spatial_side,
+    frequency_side) pair per sigma, in order.
     """
     n, s = params.n, params.s
     area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
@@ -418,13 +383,16 @@ def plancherel_pairing(params, sigma, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0,
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     prof = tabulate_kernel("bessel", nodes, params, quad)
-    phi = np.exp(-(nodes ** 2) / sigma ** 2)
-    spatial = area * np.sum(weights * prof.values * phi * nodes ** (n - 1))
 
-    def freq_symbol(r):
-        return (sigma * np.sqrt(np.pi)) ** n * np.exp(
-            -np.pi ** 2 * sigma ** 2 * r * r
-        ) / (1.0 + r * r + r ** (2.0 * s))
+    pairs = []
+    for sigma in sigmas:
+        phi = np.exp(-(nodes ** 2) / sigma ** 2)
+        spatial = area * np.sum(weights * prof.values * phi * nodes ** (n - 1))
 
-    frequency = radial_symbol_integral(freq_symbol, n, quad)
-    return spatial, frequency
+        def freq_symbol(r):
+            return (sigma * np.sqrt(np.pi)) ** n * np.exp(
+                -np.pi ** 2 * sigma ** 2 * r * r
+            ) / (1.0 + r * r + r ** (2.0 * s))
+
+        pairs.append((spatial, radial_symbol_integral(freq_symbol, n, quad)))
+    return pairs

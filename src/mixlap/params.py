@@ -45,8 +45,5 @@ class QuadratureSpec:
         if self.tail_accel not in ("none", "alternating-series"):
             raise ValueError(f"unknown tail_accel {self.tail_accel!r}")
 
-    def cache_key_fields(self):
-        return (self.rel_tol, self.abs_tol, self.max_zeros, self.tail_accel)
-
 
 DEFAULT_QUAD = QuadratureSpec()

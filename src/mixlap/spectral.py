@@ -23,9 +23,6 @@ from scipy import fft
 
 from .errors import FieldFormatError, GridMismatchError
 from .fileio import atomic_write
-from .params import KernelParams
-
-_CONJ_SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,52 +88,6 @@ class RealField:
 
     def copy(self):
         return RealField(self.grid, self.data.copy())
-
-
-@dataclass
-class SpectralCoeffs:
-    """Full-layout DFT coefficients of a real field (conjugate symmetric)."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"coeffs shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
-
-    def conjugate_symmetry_defect(self):
-        """Max deviation from c(-k) = conj(c(k)), relative to the peak coefficient."""
-        c = self.coeffs
-        flipped = c
-        for ax in range(c.ndim):
-            flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
-        scale = np.abs(c).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(flipped - np.conj(c)).max() / scale)
-
-    def is_conjugate_symmetric(self, tol=_CONJ_SYM_TOL):
-        return self.conjugate_symmetry_defect() <= tol
-
-
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError("operands live on different grids")
-
-
-def forward(f):
-    """DFT coefficients of a real field; the zero mode equals the mean."""
-    c = np.fft.fftn(f.data) / f.grid.N ** f.grid.n
-    return SpectralCoeffs(f.grid, c)
-
-
-def inverse(c):
-    """Real field with the given DFT coefficients."""
-    data = np.fft.ifftn(c.coeffs * c.grid.N ** c.grid.n)
-    return RealField(c.grid, data.real)
 
 
 def operator_symbol(w_sq, s):
@@ -212,18 +163,6 @@ def _parseval_scale(grid):
     return (2.0 * grid.L) ** grid.n / float(grid.N) ** (2 * grid.n)
 
 
-def inner_product_s(f, g, params):
-    """The H^1-equivalent inner product <f, (1 + w^2 + w^{2s}) g> on the box."""
-    _require_same_grid(f, g)
-    grid = f.grid
-    sym = half_symbol(grid, params.s)
-    cf = fft.rfftn(f.data)
-    cg = fft.rfftn(g.data)
-    cross = cf.real * cg.real + cf.imag * cg.imag  # Re(conj(cf) cg)
-    total = np.sum(sym.weight * (1.0 + sym.multiplier) * cross)
-    return float(_parseval_scale(grid) * total)
-
-
 def norms(f, params, p=None):
     """Discrete norms of a field.
 
@@ -255,32 +194,11 @@ def norms(f, params, p=None):
     return out
 
 
-def positive_part_power(f, p, dealias=False):
-    """(max(f, 0))^p, pointwise or with zero-padding dealiasing.
-
-    The dealiased path (integer p only) evaluates the power on a grid
-    refined by the factor ceil((p+1)/2) and truncates back, so that no
-    aliased energy from the product lands on retained modes.
-    """
+def positive_part_power(f, p):
+    """(max(f, 0))^p, pointwise."""
     if p <= 0:
         raise ValueError("power p must be positive")
-    if not dealias:
-        return RealField(f.grid, np.maximum(f.data, 0.0) ** p)
-    if not float(p).is_integer():
-        raise ValueError("dealiasing by zero padding requires an integer power")
-    grid = f.grid
-    factor = int(np.ceil((p + 1) / 2))
-    M = factor * grid.N
-    c = np.fft.fftn(f.data) / grid.N ** grid.n
-    big = np.zeros((M,) * grid.n, dtype=complex)
-    idx = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(int)
-    big[np.ix_(*([idx] * grid.n))] = c
-    fine = np.fft.ifftn(big * M ** grid.n).real
-    powered = np.maximum(fine, 0.0) ** p
-    cp = np.fft.fftn(powered) / M ** grid.n
-    kept = cp[np.ix_(*([idx] * grid.n))]
-    data = np.fft.ifftn(kept * grid.N ** grid.n).real
-    return RealField(grid, data)
+    return RealField(f.grid, np.maximum(f.data, 0.0) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +236,3 @@ def read_field(path):
         )
     data = np.fromfile(path, dtype="<f8").reshape(grid.shape)
     return RealField(grid, data)
-
-
-def axis_slice_csv(path, f, axis=0):
-    """CSV of the field along one coordinate axis through the box center."""
-    grid = f.grid
-    idx = [grid.N // 2] * grid.n
-    idx[axis] = slice(None)
-    line = f.data[tuple(idx)]
-    coords = grid.axis()
-    with open(str(path), "w") as fh:
-        fh.write("coordinate,value\n")
-        for x, v in zip(coords, line):
-            fh.write(f"{x:.17g},{v:.17g}\n")

@@ -13,11 +13,6 @@ P2 = KernelParams(2, 0.5)
 GRID = S.GridSpec(2, 10.0, 64)
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXLAP_CACHE_DIR", str(tmp_path / "cache"))
-
-
 def radial_gaussian(grid, width=3.0):
     return S.RealField(grid, np.exp(-grid.radius() ** 2 / width ** 2))
 

@@ -1,17 +1,13 @@
 """Command-line interface: dispatch, config merging, artifacts, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from mixlap import analysis, mc, spectral
+from mixlap import analysis, kernels, mc, spectral
 from mixlap.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXLAP_CACHE_DIR", str(tmp_path / "cache"))
 
 
 def read_json(path):
@@ -55,6 +51,43 @@ class TestKernelTab:
         ])
         assert code == 2
         assert "radii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--kernel", "heat"], "--t", id="heat-without-t"),
+        pytest.param(["--kernel", "heat-two-scale", "--t1", "1"], "--t2",
+                     id="two-scale-without-t2"),
+        pytest.param(["--kernel", "heat-two-scale"], "--t1, --t2",
+                     id="two-scale-without-t1-t2"),
+        pytest.param(["--kernel", "bessel-shifted"], "--a", id="shifted-without-a"),
+        pytest.param(["--radii", ""], "radii", id="radii-empty"),
+        pytest.param(["--radii", "1,nan"], "radii", id="radii-nan"),
+        pytest.param(["--radii", "1,inf"], "radii", id="radii-inf"),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, monkeypatch, args, message):
+        # rejected before any kernel value is computed
+        for label in kernels._KERNEL_EVALUATORS:
+            monkeypatch.setitem(
+                kernels._KERNEL_EVALUATORS, label,
+                lambda *a: (_ for _ in ()).throw(AssertionError("evaluator called")),
+            )
+        argv = ["kernel-tab", "--n", "2", "--s", "0.5", "--radii", "0.5,1",
+                "--output-dir", str(tmp_path / "o")] + args
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_writes_nothing_outside_output_dir(self, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        for key in [k for k in os.environ if k.startswith("MIXLAP_")]:
+            monkeypatch.delenv(key)
+        out = tmp_path / "out"
+        assert main(["kernel-tab", "--n", "2", "--s", "0.5", "--kernel", "bessel",
+                     "--radii", "0.5,1", "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bessel.csv", "bessel.json", "manifest.json"]
+        assert not (home / ".cache" / "mixlap").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home", "out"]
 
 
 class TestSolveAnalyze:

@@ -1,7 +1,6 @@
-"""Heat and Bessel kernels: identities, bounds, profiles and caching."""
+"""Heat and Bessel kernels: identities, bounds, profiles and tabulation."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -11,11 +10,6 @@ from mixlap.params import DEFAULT_QUAD, KernelParams
 
 P2 = KernelParams(2, 0.5)
 P3 = KernelParams(3, 0.5)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXLAP_CACHE_DIR", str(tmp_path / "cache"))
 
 
 class TestHeatKernel:
@@ -188,19 +182,22 @@ class TestRadialProfile:
     def test_csv_round_trip(self, tmp_path):
         prof = K.RadialProfile(
             radii=np.array([1.0, 2.0, 4.0]),
-            values=np.array([0.3, 0.1, 0.02]),
+            values=np.array([0.3, 0.1, 1.0 / 3.0]),
             params=P2,
             label="demo",
         )
         path = tmp_path / "demo.csv"
         prof.write_csv(path, quad=DEFAULT_QUAD)
-        back = K.RadialProfile.read_csv(path)
-        assert np.array_equal(back.radii, prof.radii)
-        assert np.array_equal(back.values, prof.values)
-        assert back.params == P2
-        assert back.label == "demo"
+        assert path.read_text().splitlines()[0] == "radius,value"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], prof.radii)
+        assert np.array_equal(rows[:, 1], prof.values)  # %.17g keeps every bit
         sidecar = json.loads((tmp_path / "demo.json").read_text())
-        assert sidecar["quad"]["rel_tol"] == DEFAULT_QUAD.rel_tol
+        assert (sidecar["label"], sidecar["n"], sidecar["s"]) == ("demo", 2, 0.5)
+        assert sidecar["quad"] == {"rel_tol": DEFAULT_QUAD.rel_tol,
+                                   "abs_tol": DEFAULT_QUAD.abs_tol,
+                                   "max_zeros": DEFAULT_QUAD.max_zeros,
+                                   "tail_accel": DEFAULT_QUAD.tail_accel}
 
     def test_monotonicity_probe(self):
         prof = K.RadialProfile(
@@ -210,59 +207,32 @@ class TestRadialProfile:
         assert not prof.is_nonneg_nonincreasing()
 
 
-class TestTabulationCache:
-    def test_cache_hit_skips_evaluation(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache2"
-        monkeypatch.setenv("MIXLAP_CACHE_DIR", str(cache))
-        radii = np.array([0.5, 1.0, 2.0])
-        first = K.tabulate_kernel("heat", radii, P2, t=1.0)
-        files = list(cache.glob("*.csv"))
-        assert len(files) == 1
-
-        # poison the evaluator: a cache hit must not call it
-        monkeypatch.setitem(
-            K._KERNEL_EVALUATORS, "heat",
-            lambda *a: (_ for _ in ()).throw(AssertionError("evaluator called")),
-        )
-        second = K.tabulate_kernel("heat", radii, P2, t=1.0)
-        assert np.array_equal(first.values, second.values)
-
-    def test_cache_key_separates_parameters(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache3"
-        monkeypatch.setenv("MIXLAP_CACHE_DIR", str(cache))
-        radii = np.array([0.5, 1.0])
-        K.tabulate_kernel("heat", radii, P2, t=1.0)
-        K.tabulate_kernel("heat", radii, P2, t=2.0)
-        assert len(list(cache.glob("*.csv"))) == 2
-
-    def test_engine_version_is_part_of_key(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache4"
-        monkeypatch.setenv("MIXLAP_CACHE_DIR", str(cache))
-        radii = np.array([0.5, 1.0])
-        K.tabulate_kernel("heat", radii, P2, t=1.0)
-        calls = []
-        evaluator = K._KERNEL_EVALUATORS["heat"]
-        monkeypatch.setitem(K._KERNEL_EVALUATORS, "heat",
-                            lambda *a: calls.append(a) or evaluator(*a))
-        K.tabulate_kernel("heat", radii, P2, t=1.0)
-        assert calls == []  # same engine: a hit
-
-        monkeypatch.setattr(K, "_ENGINE_VERSION", K._ENGINE_VERSION + 1)
-        K.tabulate_kernel("heat", radii, P2, t=1.0)
-        assert len(calls) == len(radii)  # newer engine: a miss, evaluated afresh
-        assert len(list(cache.glob("*.csv"))) == 2
-
+class TestTabulation:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             K.tabulate_kernel("nope", np.array([1.0]), P2)
 
-    def test_env_var_controls_location(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIXLAP_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert K.cache_dir() == str(tmp_path / "elsewhere")
+
+SIGMAS = (0.5, 1.0, 2.0)
 
 
 class TestPlancherel:
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-    def test_identity(self, sigma):
-        spatial, frequency = K.plancherel_pairing(P2, sigma)
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        # one Bessel tabulation serves every sigma
+        return dict(zip(SIGMAS, K.plancherel_pairing(P2, SIGMAS)))
+
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    def test_identity(self, pairs, sigma):
+        spatial, frequency = pairs[sigma]
         assert spatial == pytest.approx(frequency, rel=1e-6)
+
+    def test_one_tabulation_for_all_sigmas(self, monkeypatch):
+        calls = []
+        tabulate = K.tabulate_kernel
+        monkeypatch.setattr(K, "tabulate_kernel",
+                            lambda *a, **kw: calls.append(a) or tabulate(*a, **kw))
+        pairs = K.plancherel_pairing(P2, SIGMAS, n_panels=10)
+        assert len(calls) == 1
+        assert pairs == [K.plancherel_pairing(P2, (sigma,), n_panels=10)[0]
+                         for sigma in SIGMAS]

@@ -9,11 +9,6 @@ from mixlap import mc
 P2 = KernelParams(2, 0.5)
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXLAP_CACHE_DIR", str(tmp_path / "cache"))
-
-
 @pytest.fixture(scope="module")
 def batch_200k():
     return mc.sample_mixed(1.0, P2, 200_000, seed=11)
