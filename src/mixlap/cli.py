@@ -34,8 +34,29 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _parse_config_file(path):
-    values = {}
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError on a usage error, not SystemExit.
+
+    ``keys`` collects the dest of every option declared on it: the keys a
+    ``--config`` file may set.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.keys = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.keys.add(action.dest)
+        return action
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _config_tokens(path, command):
+    """The ``key = value`` lines of a config file as ``--key=value`` tokens."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -44,49 +65,38 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+            dest = key.replace("-", "_")
+            if dest not in command.keys:
+                raise ValueError(f"unknown config key {key!r}")
+            tokens.append(f"--{dest.replace('_', '-')}={val}")
+    return tokens
 
 
-def _merge_config(args, parser):
-    """Fill argparse defaults from the config file; flags win."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _parse_config_file(args.config)
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:  # not set on the command line
-            setattr(args, key, raw)
-    return args
+def _parse(argv):
+    """Parse argv, with the lines of its --config file as flags before its own.
+
+    A file value thus gets the type and required-option checks of a flag, and
+    a flag given on the command line wins (the last value parsed is kept).
+    """
+    parser = build_parser()
+    path = parser.config_flag.parse_known_args(argv)[0].config
+    if path and argv[0] in parser.commands:
+        argv = argv[:1] + _config_tokens(path, parser.commands[argv[0]]) + argv[1:]
+    return parser.parse_args(argv)
 
 
 def _floats(text):
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _resolve(args, name, cast, default=None, required=False):
-    val = getattr(args, name, None)
-    if val is None:
-        if required:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return default
-    return cast(val)
+def _given(args, *names):
+    """The options among ``names`` set on the command line or in the config file."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
 
 
 def _quad_from(args):
-    return QuadratureSpec(
-        rel_tol=_resolve(args, "rel_tol", float, 1e-8),
-        abs_tol=_resolve(args, "abs_tol", float, 1e-12),
-        max_zeros=_resolve(args, "max_zeros", int, 400),
-    )
-
-
-def _params_from(args):
-    return KernelParams(
-        n=_resolve(args, "n", int, required=True),
-        s=_resolve(args, "s", float, required=True),
-    )
+    return QuadratureSpec(**_given(args, "rel_tol", "abs_tol", "max_zeros"))
 
 
 def _write_manifest(outdir, command, config, passed, t_start):
@@ -105,9 +115,8 @@ def _write_manifest(outdir, command, config, passed, t_start):
     return manifest
 
 
-def _fft_workers(args):
+def _fft_workers(threads):
     """Context setting the worker threads of scipy.fft (the spectral FFTs)."""
-    threads = _resolve(args, "threads", int, None)
     if threads is None:
         return contextlib.nullcontext()
     if threads < 1:
@@ -116,36 +125,31 @@ def _fft_workers(args):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (exit_code, resolved_config)
+# subcommand implementations; each returns (exit code, resolved config, pass)
 
 
 def _cmd_kernel_tab(args):
-    params = _params_from(args)
+    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
-    label = _resolve(args, "kernel", str, "bessel")
-    radii = np.array(_floats(_resolve(args, "radii", str, required=True)))
-    extra = {}
-    for key in ("t", "t1", "t2", "a"):
-        val = _resolve(args, key, float, None)
-        if val is not None:
-            extra[key] = val
+    label = args.kernel
+    radii = np.array(args.radii)
+    extra = _given(args, "t", "t1", "t2", "a")
     prof = kernels.tabulate_kernel(label, radii, params, quad, **extra)
-    outdir = _resolve(args, "output_dir", str, ".")
-    os.makedirs(outdir, exist_ok=True)
-    prof.write_csv(os.path.join(outdir, f"{label}.csv"), quad=quad)
+    os.makedirs(args.output_dir, exist_ok=True)
+    prof.write_csv(os.path.join(args.output_dir, f"{label}.csv"), quad=quad)
     config = {"kernel": label, "n": params.n, "s": params.s,
               "radii": radii.tolist(), **extra}
     return EXIT_OK, config, True
 
 
 def _cmd_kernel_verify(args):
-    params = _params_from(args)
+    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
-    outdir = _resolve(args, "output_dir", str, ".")
+    outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     records = []
 
-    rng = np.random.default_rng(_resolve(args, "seed", int, 0))
+    rng = np.random.default_rng(args.seed)
     errs = []
     for _ in range(10):
         x, t = rng.uniform(0.1, 2.0), rng.uniform(0.2, 5.0)
@@ -193,22 +197,15 @@ def _cmd_kernel_verify(args):
 
 
 def _cmd_solve(args):
-    params = _params_from(args)
-    grid = spectral.GridSpec(
-        n=params.n,
-        L=_resolve(args, "L", float, 20.0),
-        N=_resolve(args, "N", int, 256),
-    )
+    params = KernelParams(args.n, args.s)
+    grid = spectral.GridSpec(n=params.n, L=args.L, N=args.N)
     cfg = solver.SolverConfig(
-        p=_resolve(args, "p", float, required=True),
-        tol_residual=_resolve(args, "tol_residual", float, 1e-10),
-        max_iter=_resolve(args, "max_iter", int, 5000),
-        seed=_resolve(args, "seed", int, 0),
-        perturb=_resolve(args, "perturb", float, 0.0),
-    )
-    outdir = _resolve(args, "output_dir", str, ".")
+        p=args.p, **_given(args, "tol_residual", "max_iter", "seed", "perturb"))
+    workers = _fft_workers(args.threads)  # checked before anything is written
+    outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
-    u, report = solver.solve_ground_state(grid, params, cfg)
+    with workers:
+        u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u)
     atomic_write(os.path.join(outdir, "solve-report.json"),
                  json.dumps(report.to_dict(), indent=2))
@@ -220,10 +217,10 @@ def _cmd_solve(args):
 
 
 def _cmd_analyze(args):
-    params = _params_from(args)
+    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
-    field_path = _resolve(args, "field", str, required=True)
-    outdir = _resolve(args, "output_dir", str, ".")
+    field_path = args.field
+    outdir = args.output_dir
     u = spectral.read_field(field_path)
     grid = u.grid
     records = []
@@ -267,12 +264,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_mc_validate(args):
-    params = _params_from(args)
+    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
-    t = _resolve(args, "t", float, 1.0)
-    count = _resolve(args, "count", int, 10 ** 6)
-    seed = _resolve(args, "seed", int, 0)
-    outdir = _resolve(args, "output_dir", str, ".")
+    t, count, seed, outdir = args.t, args.count, args.seed, args.output_dir
     batch = mc.sample_mixed(t, params, count, seed)
 
     rng = np.random.default_rng(seed + 1)
@@ -289,11 +283,9 @@ def _cmd_mc_validate(args):
 
 
 def _cmd_asymptotics(args):
-    params = _params_from(args)
+    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
-    radii = _floats(_resolve(args, "radii", str, "20,50,100"))
-    etas = _floats(_resolve(args, "eta", str, "0.1,0.5,0.9"))
-    outdir = _resolve(args, "output_dir", str, ".")
+    radii, etas, outdir = args.radii, args.eta, args.output_dir
     alpha = kernels.heat_tail_constant(params)
     power = params.n + 2.0 * params.s
     rows = []
@@ -317,89 +309,93 @@ def _cmd_asymptotics(args):
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
 
-_COMMANDS = {
-    "kernel-tab": _cmd_kernel_tab,
-    "kernel-verify": _cmd_kernel_verify,
-    "solve": _cmd_solve,
-    "analyze": _cmd_analyze,
-    "mc-validate": _cmd_mc_validate,
-    "asymptotics": _cmd_asymptotics,
-}
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process.
 
     Safe to share: ``parse_args`` returns a fresh namespace on every call and
-    leaves the parser unchanged.
+    leaves the parser unchanged.  Each subcommand declares only the options it
+    reads, and ``parser.commands`` maps its name to its parser;
+    ``parser.config_flag`` finds ``--config`` alone, before the full parse.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixlap",
         description="Kernels, ground states and verification suites for the "
         "mixed operator -Laplacian + (-Laplacian)^s.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+    parser.config_flag = _Parser(add_help=False)
+    parser.config_flag.add_argument("--config")
 
-    def common(p):
-        p.add_argument("--n", help="space dimension")
-        p.add_argument("--s", help="fractional order in (0, 1)")
+    def command(name, run, help, quadrature=True):
+        parser.commands[name] = p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--n", type=int, required=True, help="space dimension")
+        p.add_argument("--s", type=float, required=True,
+                       help="fractional order in (0, 1)")
         p.add_argument("--config", help="key = value config file; flags win")
-        p.add_argument("--output-dir", dest="output_dir", help="artifact directory")
-        p.add_argument("--rel-tol", dest="rel_tol", help="quadrature relative tolerance")
-        p.add_argument("--abs-tol", dest="abs_tol", help="quadrature absolute tolerance")
-        p.add_argument("--max-zeros", dest="max_zeros", help="Bessel-zero partition cap")
-        p.add_argument("--threads", help="worker threads of the spectral FFTs")
-        p.add_argument("--seed", help="RNG seed where applicable")
+        p.add_argument("--output-dir", default=".", help="artifact directory")
+        if quadrature:  # no defaults: unset options keep QuadratureSpec's
+            p.add_argument("--rel-tol", type=float,
+                           help="quadrature relative tolerance")
+            p.add_argument("--abs-tol", type=float,
+                           help="quadrature absolute tolerance")
+            p.add_argument("--max-zeros", type=int, help="Bessel-zero partition cap")
+        return p
 
-    p = sub.add_parser("kernel-tab", help="tabulate a kernel profile to CSV")
-    common(p)
-    p.add_argument("--kernel", help="heat | heat-two-scale | bessel | "
-                   "bessel-shifted | resolvent-multiplier")
-    p.add_argument("--radii", help="comma-separated radii")
-    p.add_argument("--t", help="time (heat)")
-    p.add_argument("--t1", help="fractional-scale weight (heat-two-scale)")
-    p.add_argument("--t2", help="classical-scale weight (heat-two-scale)")
-    p.add_argument("--a", help="shift (bessel-shifted)")
+    p = command("kernel-tab", _cmd_kernel_tab, "tabulate a kernel profile to CSV")
+    p.add_argument("--kernel", default="bessel", help="heat | heat-two-scale | "
+                   "bessel | bessel-shifted | resolvent-multiplier")
+    p.add_argument("--radii", type=_floats, required=True,
+                   help="comma-separated radii")
+    p.add_argument("--t", type=float, help="time (heat)")
+    p.add_argument("--t1", type=float, help="fractional-scale weight (heat-two-scale)")
+    p.add_argument("--t2", type=float, help="classical-scale weight (heat-two-scale)")
+    p.add_argument("--a", type=float, help="shift (bessel-shifted)")
 
-    p = sub.add_parser("kernel-verify", help="run the kernel verification suite")
-    common(p)
+    p = command("kernel-verify", _cmd_kernel_verify, "run the kernel verification suite")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled (x, t)")
 
-    p = sub.add_parser("solve", help="compute the ground state on a periodic box")
-    common(p)
-    p.add_argument("--p", help="nonlinearity exponent")
-    p.add_argument("--L", help="box half-width")
-    p.add_argument("--N", help="grid points per axis (power of two)")
-    p.add_argument("--tol-residual", dest="tol_residual", help="residual tolerance")
-    p.add_argument("--max-iter", dest="max_iter", help="iteration cap")
-    p.add_argument("--perturb", help="relative amplitude of seeded init noise")
+    p = command("solve", _cmd_solve, "compute the ground state on a periodic box",
+                quadrature=False)
+    p.add_argument("--p", type=float, required=True, help="nonlinearity exponent")
+    p.add_argument("--L", type=float, default=20.0, help="box half-width")
+    p.add_argument("--N", type=int, default=256,
+                   help="grid points per axis (power of two)")
+    # no defaults: unset solver options keep SolverConfig's
+    p.add_argument("--tol-residual", type=float, help="residual tolerance")
+    p.add_argument("--max-iter", type=int, help="iteration cap")
+    p.add_argument("--seed", type=int, help="seed of the init noise")
+    p.add_argument("--perturb", type=float,
+                   help="relative amplitude of seeded init noise")
+    p.add_argument("--threads", type=int, help="worker threads of the spectral FFTs")
 
-    p = sub.add_parser("analyze", help="qualitative checks on a solved field")
-    common(p)
-    p.add_argument("--field", help="path to a RealField binary")
+    p = command("analyze", _cmd_analyze, "qualitative checks on a solved field")
+    p.add_argument("--field", required=True, help="path to a RealField binary")
 
-    p = sub.add_parser("mc-validate", help="Monte-Carlo heat-kernel cross-validation")
-    common(p)
-    p.add_argument("--t", help="time of the sampled marginal")
-    p.add_argument("--count", help="number of samples")
+    p = command("mc-validate", _cmd_mc_validate,
+                "Monte-Carlo heat-kernel cross-validation")
+    p.add_argument("--t", type=float, default=1.0, help="time of the sampled marginal")
+    p.add_argument("--count", type=int, default=10 ** 6, help="number of samples")
+    p.add_argument("--seed", type=int, default=0, help="sampler seed")
 
-    p = sub.add_parser("asymptotics", help="verify the kernel tail constant")
-    common(p)
-    p.add_argument("--radii", help="comma-separated radii |x| (literal radius)")
-    p.add_argument("--eta", help="comma-separated classical-scale weights")
+    p = command("asymptotics", _cmd_asymptotics, "verify the kernel tail constant")
+    p.add_argument("--radii", type=_floats, default="20,50,100",
+                   help="comma-separated radii |x| (literal radius)")
+    p.add_argument("--eta", type=_floats, default="0.1,0.5,0.9",
+                   help="comma-separated classical-scale weights")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     t_start = time.time()
     try:
-        args = _merge_config(args, parser)
-        with _fft_workers(args):
-            code, config, passed = _COMMANDS[args.command](args)
+        args = _parse(argv)
+        code, config, passed = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -409,8 +405,7 @@ def main(argv=None):
     except MixlapError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    outdir = _resolve(args, "output_dir", str, ".")
-    _write_manifest(outdir, args.command, config, passed, t_start)
+    _write_manifest(args.output_dir, args.command, config, passed, t_start)
     status = "PASS" if passed else "FAIL"
     print(f"{args.command}: {status} (exit {code})")
     return code

@@ -188,26 +188,15 @@ def radial_inverse_fourier(
 
     sums = head + np.cumsum(terms)
     abs_floor = quad.abs_tol / max(abs(pref), 1e-300)
-    tol = lambda v: max(abs_floor, quad.rel_tol * abs(v))
 
     # plain summation if the envelope has already killed the tail
-    tail_mag = np.abs(terms)
-    k = _first_settled(tail_mag, sums, abs_floor, quad.rel_tol)
+    k = _first_settled(np.abs(terms), sums, abs_floor, quad.rel_tol)
     if k is not None:
         return pref * sums[k]
 
-    if quad.tail_accel == "none":
-        est = tail_mag[-1]
-        if est > tol(sums[-1]):
-            raise AccuracyError(
-                f"plain Hankel summation did not converge (error ~ {pref * est:.3e})",
-                achieved=pref * est,
-            )
-        return pref * sums[-1]
-
     window = min(n_terms + 1, 40)
     value, est = _wynn_epsilon(sums[-window:])
-    if est > tol(value):
+    if est > max(abs_floor, quad.rel_tol * abs(value)):
         raise AccuracyError(
             f"accelerated Hankel summation did not converge (error ~ {pref * est:.3e})",
             achieved=pref * est,

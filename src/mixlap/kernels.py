@@ -72,7 +72,6 @@ class RadialProfile:
                 "rel_tol": quad.rel_tol,
                 "abs_tol": quad.abs_tol,
                 "max_zeros": quad.max_zeros,
-                "tail_accel": quad.tail_accel,
             },
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
@@ -227,42 +226,47 @@ def bessel_kernel_time_integral(x_norm, params, quad=DEFAULT_QUAD):
     return val
 
 
-_KERNEL_EVALUATORS = {
-    "heat": lambda r, params, quad, extra: heat_kernel(r, extra["t"], params, quad),
-    "heat-two-scale": lambda r, params, quad, extra: heat_kernel_two_scale(
-        r, extra["t1"], extra["t2"], params, quad
+# label -> (evaluator, the per-kernel values it reads); each evaluator takes
+# (r, params, quad) and those values by keyword.  The lambdas look the kernel
+# functions up at call time, so a wrapper patched onto the module is used.
+_KERNELS = {
+    "heat": (lambda r, params, quad, t: heat_kernel(r, t, params, quad), ("t",)),
+    "heat-two-scale": (
+        lambda r, params, quad, t1, t2: heat_kernel_two_scale(r, t1, t2, params, quad),
+        ("t1", "t2"),
     ),
-    "bessel": lambda r, params, quad, extra: bessel_kernel(r, params, quad),
-    "bessel-shifted": lambda r, params, quad, extra: bessel_kernel_shifted(
-        r, extra["a"], params, quad
+    "bessel": (lambda r, params, quad: bessel_kernel(r, params, quad), ()),
+    "bessel-shifted": (
+        lambda r, params, quad, a: bessel_kernel_shifted(r, a, params, quad), ("a",)
     ),
-    "resolvent-multiplier": lambda r, params, quad, extra: resolvent_multiplier_kernel(
-        r, params, quad
+    "resolvent-multiplier": (
+        lambda r, params, quad: resolvent_multiplier_kernel(r, params, quad), ()
     ),
 }
-
-
-# per-kernel values each label needs, passed to ``tabulate_kernel`` by keyword
-_KERNEL_EXTRAS = {"heat": ("t",), "heat-two-scale": ("t1", "t2"), "bessel-shifted": ("a",)}
 
 
 def tabulate_kernel(label, radii, params, quad=DEFAULT_QUAD, **extra):
     """Tabulate a named kernel on a radius grid.
 
     ``label`` is one of heat, heat-two-scale, bessel, bessel-shifted,
-    resolvent-multiplier; keyword arguments supply the per-kernel extras
-    (t, t1/t2, a).  Radii and extras are checked before any quadrature runs.
+    resolvent-multiplier; keyword arguments supply exactly the per-kernel
+    values that kernel reads (t, t1/t2, a).  Radii and values are checked
+    before any quadrature runs.
     """
-    if label not in _KERNEL_EVALUATORS:
+    if label not in _KERNELS:
         raise ValueError(f"unknown kernel label {label!r}")
-    missing = [key for key in _KERNEL_EXTRAS.get(label, ()) if key not in extra]
+    evaluate, reads = _KERNELS[label]
+    missing = [key for key in reads if key not in extra]
     if missing:
         raise ValueError(f"kernel {label!r} needs " + ", ".join(f"--{k}" for k in missing))
+    unread = [key for key in extra if key not in reads]
+    if unread:
+        raise ValueError(f"kernel {label!r} does not take "
+                         + ", ".join(f"--{k}" for k in unread))
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii)):
         raise ValueError("radii must be a nonempty list of finite numbers")
-    ev = _KERNEL_EVALUATORS[label]
-    values = np.array([ev(r, params, quad, extra) for r in radii])
+    values = np.array([evaluate(r, params, quad, **extra) for r in radii])
     return RadialProfile(radii=radii, values=values, params=params, label=label)
 
 

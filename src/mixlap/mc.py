@@ -50,10 +50,6 @@ class SampleBatch:
         if self.points.shape != (self.count, self.params.n):
             raise ValueError("points must have shape (count, n)")
 
-    def write_csv(self, path):
-        header = ",".join(f"x{i + 1}" for i in range(self.params.n))
-        np.savetxt(str(path), self.points, delimiter=",", header=header, comments="")
-
 
 def _one_sided_stable(s, size, rng):
     """One-sided s-stable draws normalized to E exp(-lambda A) = exp(-lambda^s).

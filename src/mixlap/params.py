@@ -1,6 +1,6 @@
 """Shared parameter objects: operator parameters and quadrature settings."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,23 +27,18 @@ class QuadratureSpec:
     """Tolerances and truncation limits for the oscillatory radial quadrature.
 
     ``max_zeros`` is the number of Bessel-zero subintervals summed before the
-    alternating tail is extrapolated.  ``tail_accel`` selects the tail
-    treatment: "alternating-series" (Wynn epsilon extrapolation of the partial
-    sums) or "none" (plain summation).
+    alternating tail is extrapolated (Wynn epsilon on the partial sums).
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_zeros: int = 400
-    tail_accel: str = "alternating-series"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_zeros < 4:
             raise ValueError("max_zeros must be at least 4")
-        if self.tail_accel not in ("none", "alternating-series"):
-            raise ValueError(f"unknown tail_accel {self.tail_accel!r}")
 
 
 DEFAULT_QUAD = QuadratureSpec()

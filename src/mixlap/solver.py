@@ -36,18 +36,15 @@ class SolverConfig:
     """Nonlinearity exponent, stabilization and stopping parameters.
 
     ``p`` must be strictly subcritical: p < (n+2)/(n-2) - margin for n = 3
-    (any p > 1 for n = 2).  ``gamma_stab`` defaults to p/(p-1), the unique
-    exponent making the iteration's linearization contractive at the fixed
-    point.  ``init`` selects the starting guess: a centered isotropic
-    Gaussian bump of width L/8, optionally perturbed with a seeded random
-    field of relative amplitude ``perturb``.
+    (any p > 1 for n = 2).  Unless the solve is given a starting field
+    ``u0``, it starts from a centered isotropic Gaussian bump of width L/8,
+    optionally perturbed with a seeded random field of relative amplitude
+    ``perturb``.
     """
 
     p: float
-    gamma_stab: float = None
     tol_residual: float = 1e-10
     max_iter: int = 5000
-    init: str = "gaussian-bump"
     seed: int = 0
     perturb: float = 0.0
 
@@ -58,10 +55,12 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.init not in ("gaussian-bump", "custom-field"):
-            raise ValueError(f"unknown init mode {self.init!r}")
-        if self.gamma_stab is None:
-            object.__setattr__(self, "gamma_stab", self.p / (self.p - 1.0))
+
+    @property
+    def gamma_stab(self):
+        """p/(p-1): the unique exponent making the iteration's linearization
+        contractive at the fixed point."""
+        return self.p / (self.p - 1.0)
 
     def check_subcritical(self, n):
         if n >= 3 and self.p >= (n + 2.0) / (n - 2.0) - _SUBCRITICAL_MARGIN:
@@ -159,12 +158,10 @@ def solve_ground_state(grid, params, cfg, u0=None):
 
 def _solve(grid, params, cfg, u0):
     cfg.check_subcritical(grid.n)
-    if cfg.init == "custom-field":
-        if u0 is None:
-            raise ValueError("init='custom-field' requires an explicit u0")
-        u = u0.copy()
-    else:
-        u = initial_field(grid, cfg)
+    u = initial_field(grid, cfg) if u0 is None else u0.copy()
+
+    def residual(u):
+        return float(np.abs(gradient_plus(u, params, cfg).data).max())
 
     history = []
     converged = False
@@ -173,12 +170,13 @@ def _solve(grid, params, cfg, u0):
         u, m_k = petviashvili_step(u, params, cfg)
         history.append(m_k)
         if abs(m_k - 1.0) < _STABILIZER_TOL:
-            res = float(np.abs(gradient_plus(u, params, cfg).data).max())
+            res = residual(u)
             if res <= cfg.tol_residual:
                 converged = True
                 break
 
-    res = float(np.abs(gradient_plus(u, params, cfg).data).max())
+    if not converged:
+        res = residual(u)
     nm = norms(u, params, p=cfg.p + 1.0)
     norm_s_sq = nm["sobolev_s"] ** 2
     lp_plus = _volume_sum(u, np.maximum(u.data, 0.0) ** (cfg.p + 1.0))

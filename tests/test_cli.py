@@ -2,12 +2,17 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixlap import analysis, kernels, mc, spectral
-from mixlap.cli import main
+from mixlap.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_json(path):
@@ -44,6 +49,17 @@ class TestKernelTab:
         assert config["kernel"] == "bessel"
         assert "t" not in config
 
+    def test_zero_weight_counts_as_given(self, tmp_path):
+        # --t1 0 is a value, not an absent option: H(x, 0, 1) is the Gaussian
+        out = tmp_path / "out"
+        assert main(["kernel-tab", "--n", "2", "--s", "0.5", "--kernel",
+                     "heat-two-scale", "--t1", "0", "--t2", "1", "--radii", "0.25",
+                     "--output-dir", str(out)]) == 0
+        config = read_json(out / "manifest.json")["config"]
+        assert (config["t1"], config["t2"]) == (0.0, 1.0)
+        value = np.loadtxt(out / "heat-two-scale.csv", delimiter=",", skiprows=1)[1]
+        assert value == pytest.approx(np.pi * np.exp(-np.pi ** 2 / 16), rel=1e-6)
+
     def test_missing_radii_is_usage_error(self, tmp_path, capsys):
         code = main([
             "kernel-tab", "--n", "2", "--s", "0.5",
@@ -62,14 +78,20 @@ class TestKernelTab:
         pytest.param(["--radii", ""], "radii", id="radii-empty"),
         pytest.param(["--radii", "1,nan"], "radii", id="radii-nan"),
         pytest.param(["--radii", "1,inf"], "radii", id="radii-inf"),
+        pytest.param(["--kernel", "bessel", "--t", "1"], "does not take --t",
+                     id="bessel-with-t"),
+        pytest.param(["--kernel", "heat", "--t", "1", "--a", "1"], "does not take --a",
+                     id="heat-with-a"),
+        pytest.param(["--kernel", "resolvent-multiplier", "--t1", "1"],
+                     "does not take --t1", id="resolvent-multiplier-with-t1"),
     ])
     def test_bad_input_is_usage_error(self, tmp_path, capsys, monkeypatch, args, message):
         # rejected before any kernel value is computed
-        for label in kernels._KERNEL_EVALUATORS:
-            monkeypatch.setitem(
-                kernels._KERNEL_EVALUATORS, label,
-                lambda *a: (_ for _ in ()).throw(AssertionError("evaluator called")),
-            )
+        def poisoned(*_args, **_kwargs):
+            raise AssertionError("evaluator called")
+
+        for label, (_, reads) in list(kernels._KERNELS.items()):
+            monkeypatch.setitem(kernels._KERNELS, label, (poisoned, reads))
         argv = ["kernel-tab", "--n", "2", "--s", "0.5", "--radii", "0.5,1",
                 "--output-dir", str(tmp_path / "o")] + args
         assert main(argv) == 2
@@ -228,6 +250,16 @@ class TestConfigFile:
                      "--p", "3"])
         assert code == 2
 
+    def test_malformed_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("N = abc\n")
+        out = tmp_path / "o"
+        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
+                     "--p", "3", "--output-dir", str(out)])
+        assert code == 2
+        assert "--N" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestThreads:
     def test_fft_workers_do_not_change_the_field(self, tmp_path):
@@ -262,3 +294,48 @@ class TestReproducibility:
             assert code == 0
             outs.append((out / "ground_state.bin").read_bytes())
         assert outs[0] == outs[1]
+
+
+# the minimal valid command line of each subcommand; nothing runs in these tests
+_ARGV = {
+    "kernel-tab": ["--radii", "1"],
+    "kernel-verify": [],
+    "solve": ["--p", "3"],
+    "analyze": ["--field", "u.bin"],
+    "mc-validate": [],
+    "asymptotics": [],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--rel-tol"), ("solve", "--abs-tol"), ("solve", "--max-zeros"),
+        ("kernel-tab", "--threads"), ("kernel-verify", "--threads"),
+        ("analyze", "--threads"), ("mc-validate", "--threads"),
+        ("asymptotics", "--threads"),
+        ("kernel-tab", "--seed"), ("analyze", "--seed"), ("asymptotics", "--seed"),
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(
+            self, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        argv = [command, "--n", "2", "--s", "0.5", *_ARGV[command], flag, "1",
+                "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["solve", "--n", "2", "--s", "0.5", "--p", "3", "--N", "abc",
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert "--N" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_examples_parse(self):
+        text = README.read_text()
+        block = re.search(r"## Command-line interface.*?```sh\n(.*?)```", text, re.S)
+        lines = block.group(1).replace("\\\n", " ").splitlines()
+        examples = [shlex.split(line) for line in lines if line.startswith("mixlap ")]
+        commands = [build_parser().parse_args(argv[1:]).command for argv in examples]
+        assert sorted(commands) == sorted(build_parser().commands)

@@ -196,8 +196,7 @@ class TestRadialProfile:
         assert (sidecar["label"], sidecar["n"], sidecar["s"]) == ("demo", 2, 0.5)
         assert sidecar["quad"] == {"rel_tol": DEFAULT_QUAD.rel_tol,
                                    "abs_tol": DEFAULT_QUAD.abs_tol,
-                                   "max_zeros": DEFAULT_QUAD.max_zeros,
-                                   "tail_accel": DEFAULT_QUAD.tail_accel}
+                                   "max_zeros": DEFAULT_QUAD.max_zeros}
 
     def test_monotonicity_probe(self):
         prof = K.RadialProfile(

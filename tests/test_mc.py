@@ -47,14 +47,6 @@ class TestSampler:
         med = np.median(batch_200k.points, axis=0)
         assert np.abs(med).max() < 0.01
 
-    def test_csv_export(self, tmp_path, batch_200k):
-        path = tmp_path / "batch.csv"
-        small = mc.sample_mixed(1.0, P2, 100, seed=0)
-        small.write_csv(path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (100, 2)
-        assert np.allclose(rows, small.points)
-
 
 class TestSubordinator:
     def test_one_sided_stable_laplace_transform(self):

@@ -31,8 +31,6 @@ class TestConfig:
             V.SolverConfig(p=1.0)
         with pytest.raises(ValueError):
             V.SolverConfig(p=3.0, tol_residual=0.0)
-        with pytest.raises(ValueError):
-            V.SolverConfig(p=3.0, init="bogus")
 
     def test_subcriticality(self):
         V.SolverConfig(p=4.9).check_subcritical(3)
@@ -131,7 +129,7 @@ class TestSolve:
         u0 = V.initial_field(grid, cfg)
         u2, rep2 = V.solve_ground_state(
             grid, P2,
-            V.SolverConfig(p=3.0, tol_residual=1e-10, init="custom-field"),
+            V.SolverConfig(p=3.0, tol_residual=1e-10),
             u0=S.RealField(grid, 5.0 * u0.data),
         )
         assert rep2.converged
@@ -144,7 +142,7 @@ class TestSolve:
         shifted0 = S.RealField(grid, np.roll(u0.data, shift, axis=(0, 1)))
         u2, rep2 = V.solve_ground_state(
             grid, P2,
-            V.SolverConfig(p=3.0, tol_residual=1e-10, init="custom-field"),
+            V.SolverConfig(p=3.0, tol_residual=1e-10),
             u0=shifted0,
         )
         assert rep2.converged
@@ -155,13 +153,6 @@ class TestSolve:
         grid = S.GridSpec(2, 10.0, 32)
         V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0, max_iter=2))
         assert S.half_symbol.cache_info().currsize == 0
-
-    def test_custom_field_requires_u0(self):
-        grid = S.GridSpec(2, 10.0, 32)
-        with pytest.raises(ValueError):
-            V.solve_ground_state(
-                grid, P2, V.SolverConfig(p=3.0, init="custom-field")
-            )
 
     def test_non_convergence_reported(self):
         grid = S.GridSpec(2, 15.0, 128)
