@@ -37,8 +37,8 @@ EXIT_NO_CONVERGENCE = 3
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises ValueError on a usage error, not SystemExit.
 
-    ``keys`` collects the dest of every option declared on it: the keys a
-    ``--config`` file may set.
+    ``keys`` collects the dest of every option declared on it but ``--help``
+    and ``--config``: the keys a ``--config`` file may set.
     """
 
     def __init__(self, *args, **kwargs):
@@ -47,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.keys.add(action.dest)
+        if action.dest not in ("help", "config"):
+            self.keys.add(action.dest)
         return action
 
     def error(self, message):
@@ -206,7 +207,8 @@ def _cmd_solve(args):
     os.makedirs(outdir, exist_ok=True)
     with workers:
         u, report = solver.solve_ground_state(grid, params, cfg)
-    spectral.write_field(os.path.join(outdir, "ground_state.bin"), u)
+    spectral.write_field(os.path.join(outdir, "ground_state.bin"), u,
+                         s=params.s, p=cfg.p)
     atomic_write(os.path.join(outdir, "solve-report.json"),
                  json.dumps(report.to_dict(), indent=2))
     config = {"n": params.n, "s": params.s, "p": cfg.p, "L": grid.L, "N": grid.N,
@@ -217,12 +219,13 @@ def _cmd_solve(args):
 
 
 def _cmd_analyze(args):
-    params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
     field_path = args.field
     outdir = args.output_dir
+    s = spectral.read_header(field_path, "s")["s"]
     u = spectral.read_field(field_path)
     grid = u.grid
+    params = KernelParams(grid.n, s)
     records = []
 
     min_u = float(u.data.min())
@@ -329,12 +332,13 @@ def build_parser():
     parser.config_flag = _Parser(add_help=False)
     parser.config_flag.add_argument("--config")
 
-    def command(name, run, help, quadrature=True):
+    def command(name, run, help, quadrature=True, params=True):
         parser.commands[name] = p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--n", type=int, required=True, help="space dimension")
-        p.add_argument("--s", type=float, required=True,
-                       help="fractional order in (0, 1)")
+        if params:  # analyze reads n and s from the field's header
+            p.add_argument("--n", type=int, required=True, help="space dimension")
+            p.add_argument("--s", type=float, required=True,
+                           help="fractional order in (0, 1)")
         p.add_argument("--config", help="key = value config file; flags win")
         p.add_argument("--output-dir", default=".", help="artifact directory")
         if quadrature:  # no defaults: unset options keep QuadratureSpec's
@@ -372,7 +376,8 @@ def build_parser():
                    help="relative amplitude of seeded init noise")
     p.add_argument("--threads", type=int, help="worker threads of the spectral FFTs")
 
-    p = command("analyze", _cmd_analyze, "qualitative checks on a solved field")
+    p = command("analyze", _cmd_analyze, "qualitative checks on a solved field",
+                params=False)
     p.add_argument("--field", required=True, help="path to a RealField binary")
 
     p = command("mc-validate", _cmd_mc_validate,

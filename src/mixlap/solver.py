@@ -9,9 +9,17 @@ positive-part nonlinearity and renormalizes by the stabilizer
 whose fixed points with m_k = 1 are exactly the discrete weak solutions.
 The nonlinearity is evaluated pointwise (collocation), so the discrete
 Nehari and fiber-energy identities hold to roundoff at convergence.
+
+Every iterate after the first is u_{k+1} = m_k^gamma R[(u_k+)^p] with
+R = (1 + operator)^{-1}, so (1 + operator) u_{k+1} = m_k^gamma (u_k+)^p holds
+exactly.  The next stabilizer numerator <u_{k+1}, m_k^gamma (u_k+)^p> and the
+residual m_k^gamma (u_k+)^p - (u_{k+1}+)^p are therefore pointwise, and a step
+costs one rfftn and one irfftn, those of the resolvent.  Only the first step
+applies the operator, and a solve confirms its stopping residual with FFTs.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +87,7 @@ class SolveReport:
     energy: float
     nehari_gap: float
     stabilizer_history: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
     converged: bool = False
 
     def to_dict(self):
@@ -92,6 +101,7 @@ class SolveReport:
             else None,
             "converged": self.converged,
             "stabilizer_history": list(self.stabilizer_history),
+            "residual_history": list(self.residual_history),
         }
 
 
@@ -116,10 +126,32 @@ def gradient_plus(u, params, cfg):
     return RealField(u.grid, lin.data - np.maximum(u.data, 0.0) ** cfg.p)
 
 
-def petviashvili_step(u, params, cfg):
-    """One stabilized fixed-point step; returns (next iterate, stabilizer m_k)."""
-    up_p = positive_part_power(u, cfg.p)
-    num = norms(u, params)["sobolev_s"] ** 2
+class Step(NamedTuple):
+    """A Petviashvili step: the next iterate and what the next step needs of it.
+
+    ``m`` is the stabilizer of the step's input.  ``residual`` is
+    max |(1 + operator) u - (u+)^p|, ``up_p`` is (u+)^p and ``num`` is
+    <u, (1 + operator) u>, each of the next iterate ``u``.
+    """
+
+    u: RealField
+    m: float
+    residual: float
+    up_p: RealField
+    num: float
+
+
+def petviashvili_step(u, params, cfg, up_p=None, num=None):
+    """One stabilized fixed-point step u -> m^gamma R[(u+)^p]; returns a Step.
+
+    ``up_p`` and ``num`` are the ``up_p`` and ``num`` of the Step that returned
+    ``u``; the step overwrites ``up_p``.  Without them it computes both from
+    ``u``, at the cost of one ``apply_operator``.
+    """
+    if up_p is None:
+        num = _volume_sum(
+            u, u.data * apply_operator(u, params, include_identity=True).data)
+        up_p = positive_part_power(u, cfg.p)
     den = _volume_sum(u, u.data * up_p.data)
     if den <= 0.0:
         raise DegenerateIterateError(
@@ -127,8 +159,17 @@ def petviashvili_step(u, params, cfg):
             "the iterate has collapsed to a nonpositive field"
         )
     m_k = num / den
-    nxt = apply_resolvent(up_p, params)
-    return RealField(u.grid, m_k ** cfg.gamma_stab * nxt.data), m_k
+    scale = m_k ** cfg.gamma_stab
+    nxt = RealField(u.grid, scale * apply_resolvent(up_p, params).data)
+    # (1 + operator) nxt = scale * up_p: turn up_p into it, read the next
+    # numerator, then overwrite it with the residual
+    lin = up_p.data
+    lin *= scale
+    next_num = _volume_sum(u, nxt.data * lin)
+    next_up_p = positive_part_power(nxt, cfg.p)
+    lin -= next_up_p.data
+    residual = float(np.abs(lin, out=lin).max())
+    return Step(nxt, m_k, residual, next_up_p, next_num)
 
 
 def initial_field(grid, cfg):
@@ -147,8 +188,9 @@ def solve_ground_state(grid, params, cfg, u0=None):
 
     Stops when the residual max norm falls below ``cfg.tol_residual`` and
     the stabilizer satisfies |m_k - 1| < 1e-10 jointly; either criterion
-    alone can stall.  Returns (field, SolveReport); a non-converged run is
-    reported, not raised.
+    alone can stall.  The loop tests the pointwise residual of each step and
+    confirms it with ``gradient_plus``, whose value the report carries.
+    Returns (field, SolveReport); a non-converged run is reported, not raised.
     """
     try:
         return _solve(grid, params, cfg, u0)
@@ -163,19 +205,26 @@ def _solve(grid, params, cfg, u0):
     def residual(u):
         return float(np.abs(gradient_plus(u, params, cfg).data).max())
 
-    history = []
+    stabilizers = []
+    residuals = []
     converged = False
+    up_p = num = None
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        u, m_k = petviashvili_step(u, params, cfg)
-        history.append(m_k)
-        if abs(m_k - 1.0) < _STABILIZER_TOL:
+        u, m_k, pointwise, up_p, num = petviashvili_step(u, params, cfg, up_p, num)
+        stabilizers.append(m_k)
+        residuals.append(pointwise)
+        if abs(m_k - 1.0) < _STABILIZER_TOL and pointwise <= cfg.tol_residual:
+            # (u+)^p is dropped so that the check's FFTs add no grid array to
+            # the step's peak; a failed check restarts the carry from u
+            up_p = None
             res = residual(u)
             if res <= cfg.tol_residual:
                 converged = True
                 break
 
     if not converged:
+        up_p = None
         res = residual(u)
     nm = norms(u, params, p=cfg.p + 1.0)
     norm_s_sq = nm["sobolev_s"] ** 2
@@ -185,7 +234,8 @@ def _solve(grid, params, cfg, u0):
         residual_linf=res,
         energy=energy_plus(u, params, cfg),
         nehari_gap=abs(norm_s_sq - lp_plus),
-        stabilizer_history=history,
+        stabilizer_history=stabilizers,
+        residual_history=residuals,
         converged=converged,
     )
     return u, report

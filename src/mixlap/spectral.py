@@ -198,34 +198,49 @@ def positive_part_power(f, p):
     """(max(f, 0))^p, pointwise."""
     if p <= 0:
         raise ValueError("power p must be positive")
-    return RealField(f.grid, np.maximum(f.data, 0.0) ** p)
+    out = np.maximum(f.data, 0.0)
+    out **= p  # in place: one grid array, not two, at the solver's peak
+    return RealField(f.grid, out)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def write_field(path, f):
+def write_field(path, f, **meta):
     """Write a field as little-endian float64 with a JSON header sidecar.
 
-    Both files are written atomically, the data first, so a reader never
-    sees a partial data file.
+    The header holds the grid's n, L and N, plus the JSON values in ``meta``
+    (``solve`` records s and p).  Both files are written atomically, the data
+    first, so a reader never sees a partial data file.
     """
     path = str(path)
     atomic_write(path, np.ascontiguousarray(f.data, dtype="<f8"))
-    header = {"n": f.grid.n, "L": f.grid.L, "N": f.grid.N}
+    header = dict(meta, n=f.grid.n, L=f.grid.L, N=f.grid.N)
     atomic_write(path + ".json", json.dumps(header, indent=2))
+
+
+def read_header(path, *keys):
+    """The JSON header of the field at ``path``.
+
+    Raises FieldFormatError when it lacks one of ``keys``.
+    """
+    with open(str(path) + ".json") as fh:
+        header = json.load(fh)
+    missing = [key for key in keys if key not in header]
+    if missing:
+        raise FieldFormatError(f"{path}.json: the header has no {', '.join(missing)}")
+    return header
 
 
 def read_field(path):
     """Read a field written by ``write_field``.
 
-    Raises FieldFormatError when the data file's size is not the
-    8 N^n bytes its header implies.
+    Raises FieldFormatError when the header lacks n, L or N, or when the data
+    file's size is not the 8 N^n bytes its header implies.
     """
     path = str(path)
-    with open(path + ".json") as fh:
-        header = json.load(fh)
+    header = read_header(path, "n", "L", "N")
     grid = GridSpec(n=header["n"], L=header["L"], N=header["N"])
     expected = 8 * grid.N ** grid.n
     actual = os.path.getsize(path)

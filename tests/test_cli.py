@@ -124,13 +124,17 @@ class TestSolveAnalyze:
         assert report["converged"] is True
         assert report["residual_linf"] < 1e-8
 
+        header = read_json(out / "ground_state.bin.json")
+        assert header == {"n": 2, "L": 15.0, "N": 128, "s": 0.5, "p": 3.0}
+
         out2 = tmp_path / "analyze"
         code = main([
-            "analyze", "--n", "2", "--s", "0.5",
-            "--field", str(out / "ground_state.bin"),
+            "analyze", "--field", str(out / "ground_state.bin"),
             "--output-dir", str(out2),
         ])
         assert code == 0
+        config = read_json(out2 / "manifest.json")["config"]
+        assert (config["n"], config["s"]) == (2, 0.5)  # read from the header
         records = read_json(out2 / "analyze.json")
         by_check = {rec["check"]: rec for rec in records}
         assert by_check["positivity"]["pass"]
@@ -156,18 +160,32 @@ class TestSolveAnalyze:
         history = report["stabilizer_history"]
         assert len(history) == report["iterations"]
         assert history[-1] == report["stabilizer_final"]
+        residuals = report["residual_history"]
+        assert len(residuals) == report["iterations"]
+        tol = read_json(out / "manifest.json")["config"]["tol_residual"]
+        assert residuals[-1] <= tol
 
     def test_truncated_field_is_usage_error(self, tmp_path, capsys):
         grid = spectral.GridSpec(2, 15.0, 64)
         path = tmp_path / "u.bin"
-        spectral.write_field(path, spectral.RealField(grid, np.ones(grid.shape)))
+        spectral.write_field(path, spectral.RealField(grid, np.ones(grid.shape)),
+                             s=0.5, p=3.0)
         path.write_bytes(path.read_bytes()[:-8])
         code = main([
-            "analyze", "--n", "2", "--s", "0.5", "--field", str(path),
-            "--output-dir", str(tmp_path / "an"),
+            "analyze", "--field", str(path), "--output-dir", str(tmp_path / "an"),
         ])
         assert code == 2
         assert "bytes" in capsys.readouterr().err
+
+    def test_header_without_s_is_usage_error(self, tmp_path, capsys):
+        grid = spectral.GridSpec(2, 15.0, 64)
+        path = tmp_path / "u.bin"
+        spectral.write_field(path, spectral.RealField(grid, np.ones(grid.shape)))
+        out = tmp_path / "an"
+        code = main(["analyze", "--field", str(path), "--output-dir", str(out)])
+        assert code == 2
+        assert "has no s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_grid_is_usage_error(self, tmp_path):
         code = main([
@@ -243,6 +261,18 @@ class TestConfigFile:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["config = /nonexistent.cfg", "help = 1"])
+    def test_config_and_help_are_not_keys(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
+                     "--p", "3", "--output-dir", str(out)])
+        assert code == 2
+        key = line.split()[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
@@ -297,13 +327,14 @@ class TestReproducibility:
 
 
 # the minimal valid command line of each subcommand; nothing runs in these tests
+_PARAMS = ["--n", "2", "--s", "0.5"]
 _ARGV = {
-    "kernel-tab": ["--radii", "1"],
-    "kernel-verify": [],
-    "solve": ["--p", "3"],
+    "kernel-tab": [*_PARAMS, "--radii", "1"],
+    "kernel-verify": _PARAMS,
+    "solve": [*_PARAMS, "--p", "3"],
     "analyze": ["--field", "u.bin"],
-    "mc-validate": [],
-    "asymptotics": [],
+    "mc-validate": _PARAMS,
+    "asymptotics": _PARAMS,
 }
 
 
@@ -314,12 +345,12 @@ class TestOptions:
         ("analyze", "--threads"), ("mc-validate", "--threads"),
         ("asymptotics", "--threads"),
         ("kernel-tab", "--seed"), ("analyze", "--seed"), ("asymptotics", "--seed"),
+        ("analyze", "--n"), ("analyze", "--s"),
     ])
     def test_flag_the_command_does_not_read_is_usage_error(
             self, tmp_path, capsys, command, flag):
         out = tmp_path / "o"
-        argv = [command, "--n", "2", "--s", "0.5", *_ARGV[command], flag, "1",
-                "--output-dir", str(out)]
+        argv = [command, *_ARGV[command], flag, "1", "--output-dir", str(out)]
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

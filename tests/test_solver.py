@@ -89,15 +89,31 @@ class TestEnergyAndGradient:
 class TestPetviashviliStep:
     def test_fixed_point_property(self, ground_state):
         grid, cfg, u, _ = ground_state
-        nxt, m_k = V.petviashvili_step(u, P2, cfg)
-        assert m_k == pytest.approx(1.0, abs=1e-10)
-        assert np.abs(nxt.data - u.data).max() < 1e-9
+        step = V.petviashvili_step(u, P2, cfg)
+        assert step.m == pytest.approx(1.0, abs=1e-10)
+        assert np.abs(step.u.data - u.data).max() < 1e-9
 
     def test_stabilizer_homogeneity(self, ground_state):
         grid, cfg, u, _ = ground_state
-        _, m1 = V.petviashvili_step(u, P2, cfg)
-        _, m2 = V.petviashvili_step(S.RealField(grid, 2.0 * u.data), P2, cfg)
+        m1 = V.petviashvili_step(u, P2, cfg).m
+        m2 = V.petviashvili_step(S.RealField(grid, 2.0 * u.data), P2, cfg).m
         assert m2 / m1 == pytest.approx(2.0 ** (1.0 - cfg.p), rel=1e-10)
+
+    def test_carried_quantities_match_a_fresh_step(self):
+        # a step given the previous step's (u+)^p and numerator agrees with
+        # one that computes them from u with the operator
+        grid = S.GridSpec(2, 15.0, 64)
+        cfg = V.SolverConfig(p=3.0)
+        step = V.petviashvili_step(V.initial_field(grid, cfg), P2, cfg)
+        for _ in range(5):
+            fresh = V.petviashvili_step(step.u, P2, cfg)
+            step = V.petviashvili_step(step.u, P2, cfg, step.up_p, step.num)
+            assert step.m == pytest.approx(fresh.m, rel=1e-13)
+            assert np.abs(step.u.data - fresh.u.data).max() <= 1e-13 * fresh.u.data.max()
+            assert (np.abs(step.up_p.data - fresh.up_p.data).max()
+                    <= 1e-13 * fresh.up_p.data.max())
+            assert step.num == pytest.approx(fresh.num, rel=1e-13)
+            assert step.residual == pytest.approx(fresh.residual, rel=1e-6, abs=1e-13)
 
     def test_degenerate_iterate(self):
         grid = S.GridSpec(2, 10.0, 32)
@@ -160,6 +176,100 @@ class TestSolve:
         _, report = V.solve_ground_state(grid, P2, cfg)
         assert not report.converged
         assert report.iterations == 3
+
+
+class TestTransformBudget:
+    """A step costs the resolvent's rfftn/irfftn pair and no other transform."""
+
+    def test_two_transforms_per_step(self, monkeypatch):
+        calls = {"rfftn": 0, "irfftn": 0}
+
+        def counted(name):
+            original = getattr(S.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(S.fft, name, counted(name))
+        grid = S.GridSpec(2, 15.0, 64)
+        _, report = V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0))
+        assert report.converged
+        # c = 6: apply_operator at the start (rfftn + irfftn), the one
+        # gradient_plus confirming the stop (rfftn + irfftn), and the norms
+        # of the report and of energy_plus (one rfftn each)
+        assert calls["rfftn"] + calls["irfftn"] == 2 * report.iterations + 6
+        assert calls["irfftn"] == report.iterations + 2
+
+    def test_identity_residual_matches_gradient(self, monkeypatch):
+        grid = S.GridSpec(2, 15.0, 64)
+        cfg = V.SolverConfig(p=3.0)
+        seen = []
+        step_fn = V.petviashvili_step
+
+        def recorded(*args, **kwargs):
+            step = step_fn(*args, **kwargs)
+            # the next step overwrites up_p, so read its maximum now
+            seen.append((step.u, step.residual, float(step.up_p.data.max())))
+            return step
+
+        monkeypatch.setattr(V, "petviashvili_step", recorded)
+        _, report = V.solve_ground_state(grid, P2, cfg)
+        assert report.converged
+        assert len(seen) == report.iterations
+        assert report.residual_history == [res for _, res, _ in seen]
+        for u, res, up_max in seen:
+            fft_res = np.abs(V.gradient_plus(u, P2, cfg).data).max()
+            assert abs(res - fft_res) <= 1e-12 * up_max
+        assert report.residual_history[-1] <= cfg.tol_residual
+
+    def test_one_gradient_call_per_solve(self, monkeypatch):
+        calls = []
+        gradient = V.gradient_plus
+
+        def counted(*args):
+            calls.append(args)
+            return gradient(*args)
+
+        monkeypatch.setattr(V, "gradient_plus", counted)
+        grid = S.GridSpec(2, 15.0, 64)
+        for cfg in (V.SolverConfig(p=3.0), V.SolverConfig(p=3.0, max_iter=3)):
+            calls.clear()
+            _, report = V.solve_ground_state(grid, P2, cfg)
+            assert len(calls) == 1
+        assert not report.converged
+
+    def test_failed_check_keeps_iterating(self, monkeypatch):
+        # the first FFT check is made to fail: the loop goes on, restarting
+        # the carried quantities from u, and stops at the next check
+        grid = S.GridSpec(2, 15.0, 64)
+        cfg = V.SolverConfig(p=3.0)
+        _, plain = V.solve_ground_state(grid, P2, cfg)
+        calls = []
+        gradient = V.gradient_plus
+
+        def failing_once(u, *args):
+            calls.append(u)
+            if len(calls) == 1:
+                return S.RealField(u.grid, np.ones(u.grid.shape))
+            return gradient(u, *args)
+
+        monkeypatch.setattr(V, "gradient_plus", failing_once)
+        _, report = V.solve_ground_state(grid, P2, cfg)
+        assert report.converged
+        assert len(calls) == 2
+        assert report.iterations == plain.iterations + 1
+        assert report.residual_linf <= cfg.tol_residual
+
+    def test_fixture_iterations_and_residual(self, ground_state):
+        # the values of the earlier step, which applied the operator to every
+        # iterate; the residual is a difference of O(10) values, so roundoff
+        # moves it by ~1e-14
+        _, _, _, report = ground_state
+        assert report.iterations == 60
+        assert report.residual_linf == pytest.approx(7.463185625056212e-11, abs=1e-12)
 
 
 class TestMountainPass:

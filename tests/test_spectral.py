@@ -214,6 +214,16 @@ class TestSerialization:
         header = json.loads((tmp_path / "field.bin.json").read_text())
         assert header == {"n": 2, "L": 10.0, "N": 64}
 
+    def test_extra_header_keys(self, tmp_path):
+        f = random_field(GRID, 12)
+        path = tmp_path / "field.bin"
+        S.write_field(path, f, s=0.5, p=3.0)
+        assert S.read_header(path, "s", "p") == {
+            "n": 2, "L": 10.0, "N": 64, "s": 0.5, "p": 3.0}
+        assert np.array_equal(S.read_field(path).data, f.data)
+        with pytest.raises(FieldFormatError, match="has no q"):
+            S.read_header(path, "s", "q")
+
     def test_files_get_the_umask_mode(self, tmp_path):
         import os
 
