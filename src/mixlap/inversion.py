@@ -8,9 +8,14 @@ Evaluates integrals of the form
 with q = |x| > 0.  The half line is partitioned at the zeros of the Bessel
 factor; each subinterval is integrated with fixed-order Gauss-Legendre
 panels (geometrically graded toward r = 0 to absorb the |xi|^{2s} cusp of
-the symbols used here), and the alternating sequence of partial sums is
-extrapolated with Wynn's epsilon algorithm when the envelope decays too
-slowly for plain summation.
+the symbols used here).  After the head [0, first zero], the zero intervals
+are integrated ``_BLOCK`` at a time, one term per interval.  After each
+block the partial sums are tested: plain summation stops once the envelope
+has killed the tail, and otherwise Wynn's epsilon algorithm extrapolates the
+last 40 sums and stops once its error estimate meets the tolerance and
+agrees with the previous block's extrapolation to that same tolerance.
+``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition;
+a sum that has not converged by then raises ``AccuracyError``.
 """
 
 import functools
@@ -24,7 +29,8 @@ from .special import bessel_j, bessel_j_zeros, gamma
 
 _GL_ORDER = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
-_HEAD_LEVELS = 48  # dyadic grading depth toward r = 0
+_HEAD_LEVELS = 30  # dyadic grading depth toward r = 0
+_BLOCK = 16  # zero intervals integrated between two convergence tests
 
 
 def sphere_surface_area(n):
@@ -176,27 +182,33 @@ def radial_inverse_fourier(
     # head: [0, first zero], graded toward the origin
     h_lo, h_hi = _graded_head(zeros[0], w_cap, envelope_rel)
     head = _gl_integrate(integrand, h_lo, h_hi).sum()
-
-    # oscillatory part: one term per interval between consecutive zeros
-    o_lo, o_hi = _panelize(zeros, w_cap, envelope_rel)
-    panel_vals = _gl_integrate(integrand, o_lo, o_hi)
-    # map panels back to their zero interval
-    interval_idx = np.searchsorted(zeros[1:], o_hi, side="left")
-    n_terms = len(zeros) - 1
-    terms = np.zeros(n_terms)
-    np.add.at(terms, interval_idx, panel_vals)
-
-    sums = head + np.cumsum(terms)
     abs_floor = quad.abs_tol / max(abs(pref), 1e-300)
 
-    # plain summation if the envelope has already killed the tail
-    k = _first_settled(np.abs(terms), sums, abs_floor, quad.rel_tol)
-    if k is not None:
-        return pref * sums[k]
+    # oscillatory part: one term per interval between consecutive zeros,
+    # integrated a block of intervals at a time until the sum has converged
+    terms = np.empty(0)
+    previous = np.nan  # no extrapolation yet: Wynn cannot stop the first block
+    for start in range(0, len(zeros) - 1, _BLOCK):
+        breaks = zeros[start : start + _BLOCK + 1]
+        o_lo, o_hi = _panelize(breaks, w_cap, envelope_rel)
+        panel_vals = _gl_integrate(integrand, o_lo, o_hi)
+        # map panels back to their zero interval
+        interval_idx = np.searchsorted(breaks[1:], o_hi, side="left")
+        terms = np.concatenate((terms, np.bincount(interval_idx, panel_vals)))
+        sums = head + np.cumsum(terms)
 
-    window = min(n_terms + 1, 40)
-    value, est = _wynn_epsilon(sums[-window:])
-    if est > max(abs_floor, quad.rel_tol * abs(value)):
+        # plain summation if the envelope has already killed the tail
+        k = _first_settled(np.abs(terms), sums, abs_floor, quad.rel_tol)
+        if k is not None:
+            return pref * sums[k]
+
+        value, est = _wynn_epsilon(sums[-40:])
+        tol = max(abs_floor, quad.rel_tol * abs(value))
+        if est <= tol and abs(value - previous) <= tol:
+            return pref * value
+        previous = value
+
+    if est > tol:
         raise AccuracyError(
             f"accelerated Hankel summation did not converge (error ~ {pref * est:.3e})",
             achieved=pref * est,

@@ -26,8 +26,10 @@ class KernelParams:
 class QuadratureSpec:
     """Tolerances and truncation limits for the oscillatory radial quadrature.
 
-    ``max_zeros`` is the number of Bessel-zero subintervals summed before the
-    alternating tail is extrapolated (Wynn epsilon on the partial sums).
+    ``max_zeros`` caps the number of Bessel-zero subintervals summed.  The
+    summation stops earlier, block by block, once the tail has died or the
+    Wynn-epsilon extrapolation of the partial sums has converged; a sum that
+    has not converged within the cap raises ``AccuracyError``.
     """
 
     rel_tol: float = 1e-8

@@ -1,18 +1,17 @@
 """Special functions used by the radial Fourier inversion machinery.
 
-Thin, contract-checked wrappers around scipy.special: Gamma, the Bessel
-function of the first kind J_nu, and the modified Bessel function of the
-third kind K_nu, plus positive real zeros of J_nu.  Half-integer zeros come
-from the trigonometric closed forms; integer orders use scipy's dedicated
-routine; other real orders fall back to McMahon asymptotics refined by
-bracketed root finding.
+Thin, contract-checked wrappers around scipy.special: Gamma and the Bessel
+function of the first kind J_nu, plus positive real zeros of J_nu.
+Half-integer zeros come from the trigonometric closed forms; integer orders
+use scipy's dedicated routine; other real orders fall back to McMahon
+asymptotics refined by bracketed root finding.
 """
 
 import numpy as np
 from scipy import optimize
 from scipy import special as sp
 
-__all__ = ["gamma", "bessel_j", "bessel_k", "bessel_j_zeros"]
+__all__ = ["gamma", "bessel_j", "bessel_j_zeros"]
 
 
 def gamma(x):
@@ -32,15 +31,6 @@ def bessel_j(nu, x):
     out = sp.jv(nu, x)
     if np.any(~np.isfinite(np.atleast_1d(out)) & np.isfinite(np.atleast_1d(x))):
         raise FloatingPointError("bessel_j evaluation overflowed")
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the third kind K_nu(x), x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k requires x > 0")
-    out = sp.kv(nu, x)
     return float(out) if out.ndim == 0 else out
 
 

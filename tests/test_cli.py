@@ -60,6 +60,13 @@ class TestKernelTab:
         value = np.loadtxt(out / "heat-two-scale.csv", delimiter=",", skiprows=1)[1]
         assert value == pytest.approx(np.pi * np.exp(-np.pi ** 2 / 16), rel=1e-6)
 
+    def test_poisson_far_from_the_origin(self, tmp_path):
+        # t2 = 0, n = 1 is the Poisson kernel; see TestHeatKernel in test_kernels
+        out = tmp_path / "out"
+        assert main(["kernel-tab", "--n", "1", "--s", "0.5", "--kernel",
+                     "heat-two-scale", "--t1", "0.21304484943643734", "--t2", "0",
+                     "--radii", "2.677857259815627", "--output-dir", str(out)]) == 0
+
     def test_missing_radii_is_usage_error(self, tmp_path, capsys):
         code = main([
             "kernel-tab", "--n", "2", "--s", "0.5",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy import special as sp
 
 from mixlap import inversion, kernels
 from mixlap.errors import AccuracyError
@@ -39,12 +41,10 @@ class TestClosedForms:
 
     def test_rational_n2(self):
         # inverse transform of 1/(1 + |xi|^2) in n = 2 is 2 pi K_0(2 pi |x|)
-        from mixlap.special import bessel_k
-
         for x in (0.2, 0.5, 1.0):
             got = radial_inverse_fourier(lambda r: 1.0 / (1.0 + r * r), x, 2,
                                          envelope_scale=0.5, envelope_rel=0.5)
-            exact = 2.0 * np.pi * bessel_k(0.0, 2.0 * np.pi * x)
+            exact = 2.0 * np.pi * sp.kv(0.0, 2.0 * np.pi * x)
             assert got == pytest.approx(exact, rel=1e-8)
 
     def test_origin_value(self):
@@ -81,6 +81,47 @@ class TestEngineContracts:
     def test_sphere_surface_area(self):
         assert sphere_surface_area(2) == pytest.approx(2.0 * np.pi, rel=1e-14)
         assert sphere_surface_area(3) == pytest.approx(4.0 * np.pi, rel=1e-14)
+
+
+class TestMaxZerosIsACap:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_raising_the_cap_changes_nothing(self, n):
+        # the sums converge long before 400 zero intervals, so a larger cap
+        # never comes into play
+        params = KernelParams(n, 0.5)
+        capped, wide = QuadratureSpec(), QuadratureSpec(max_zeros=1200)
+        evaluators = [
+            lambda x, q: kernels.bessel_kernel(x, params, q),
+            lambda x, q: kernels.resolvent_multiplier_kernel(x, params, q),
+            lambda x, q: kernels.heat_kernel(x, 1.0, params, q),
+        ]
+        for ev in evaluators:
+            for x in (0.05, 1.0, 10.0):
+                assert ev(x, wide) == pytest.approx(ev(x, capped), rel=capped.rel_tol, abs=0)
+
+    def test_summation_stops_before_the_cap(self, monkeypatch):
+        # a sum over all 400 zero intervals costs 10,824 Bessel points here
+        points = []
+        bessel_j = inversion.bessel_j
+
+        def counting(nu, x):
+            points.append(np.size(x))
+            return bessel_j(nu, x)
+
+        monkeypatch.setattr(inversion, "bessel_j", counting)
+        kernels.bessel_kernel(1.0, KernelParams(2, 0.5))
+        assert sum(points) < 3000
+
+    def test_stop_needs_two_agreeing_extrapolations(self):
+        # here one Wynn estimate meets the tolerance while its value is still
+        # 4e-7 off; the oracle is int_0^inf e^{-a t} H(x, t) dt
+        params, a, x = KernelParams(1, 0.95), 0.3, 29.99497702235761
+        oracle, _ = integrate.quad(
+            lambda t: np.exp(-a * t) * kernels.heat_kernel(x, t, params),
+            0.0, np.inf, epsabs=1e-16, epsrel=1e-10, limit=200,
+        )
+        got = kernels.bessel_kernel_shifted(x, a, params)
+        assert got == pytest.approx(oracle, rel=1e-8, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ class TestHeatKernel:
         got = K.heat_kernel_two_scale(0.0, 1.0, 0.0, KernelParams(1, 0.5))
         assert got == pytest.approx(2.0, rel=1e-8)
 
+    def test_poisson_far_from_the_origin(self):
+        # Wynn on the last 40 of all 400 partial sums misses the tolerance
+        # here (error ~1.5e-8); the sum has converged long before the cap
+        t1, x = 0.21304484943643734, 2.677857259815627
+        got = K.heat_kernel_two_scale(x, t1, 0.0, KernelParams(1, 0.5))
+        exact = 2.0 * t1 / (t1 ** 2 + 4.0 * np.pi ** 2 * x ** 2)
+        assert got == pytest.approx(exact, rel=1e-8)
+
     def test_x0_value(self):
         # independent adaptive quadrature of the x = 0 integral
         from scipy import integrate

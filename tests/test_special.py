@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mixlap.special import bessel_j, bessel_j_zeros, bessel_k, gamma
+from mixlap.special import bessel_j, bessel_j_zeros, gamma
 
 
 class TestGamma:
@@ -31,6 +31,15 @@ class TestGamma:
             gamma(0.0)
         with pytest.raises(ValueError):
             gamma(-1.3)
+
+    def test_watson_integral(self):
+        # int_0^inf r^mu K_nu(r) dr = 2^{mu-1} Gamma((1+mu+nu)/2) Gamma((1+mu-nu)/2)
+        # with mu = n/2 + 2s - 1, nu = n/2, n = 2, s = 0.5 this equals pi / 2
+        mu, nu = 1.0, 1.0
+        val = float(mp.quad(lambda r: r ** mu * mp.besselk(nu, r), [0, mp.inf]))
+        closed = 2.0 ** (mu - 1) * gamma((1 + mu + nu) / 2) * gamma((1 + mu - nu) / 2)
+        assert val == pytest.approx(closed, rel=1e-10)
+        assert closed == pytest.approx(np.pi / 2.0, rel=1e-12)
 
 
 class TestBesselJ:
@@ -72,43 +81,6 @@ class TestBesselJ:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
-
-
-class TestBesselK:
-    def test_half_order_closed_form(self):
-        for x in (1.0, 2.0):
-            assert bessel_k(0.5, x) == pytest.approx(
-                np.sqrt(np.pi / (2.0 * x)) * np.exp(-x), rel=1e-12
-            )
-
-    def test_accuracy_against_mpmath(self):
-        for nu in (0, 1, 1.5, 3):
-            for x in (1e-3, 0.4, 5.0, 100.0):
-                assert bessel_k(nu, x) == pytest.approx(
-                    float(mp.besselk(nu, x)), rel=1e-10
-                )
-
-    def test_watson_integral(self):
-        # int_0^inf r^mu K_nu(r) dr = 2^{mu-1} Gamma((1+mu+nu)/2) Gamma((1+mu-nu)/2)
-        # with mu = n/2 + 2s - 1, nu = n/2, n = 2, s = 0.5 this equals 1
-        mu, nu = 1.0, 1.0
-        val = float(mp.quad(lambda r: r ** mu * mp.besselk(nu, r), [0, mp.inf]))
-        closed = 2.0 ** (mu - 1) * gamma((1 + mu + nu) / 2) * gamma((1 + mu - nu) / 2)
-        assert val == pytest.approx(closed, rel=1e-10)
-        assert closed == pytest.approx(np.pi / 2.0, rel=1e-12)
-
-    def test_positive_decreasing(self):
-        x = np.linspace(0.05, 30.0, 150)
-        for nu in (0.0, 0.5, 1.0, 2.0):
-            v = bessel_k(nu, x)
-            assert np.all(v > 0)
-            assert np.all(np.diff(v) < 0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bessel_k(0.5, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k(0.5, -2.0)
 
 
 class TestBesselZeros:
