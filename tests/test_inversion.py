@@ -1,5 +1,8 @@
 """Radial Fourier inversion engine against closed-form transforms."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -77,6 +80,18 @@ class TestEngineContracts:
         b = radial_inverse_fourier(gaussian_symbol(1.0), 0.7, 2, envelope_scale=1.0,
                                    r_max=12.0)
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_too_many_panels_is_an_accuracy_error(self):
+        # envelope scale 20^-10 over the head [0, 25]: 2.5e9 panels, a 16.5 GiB
+        # array, refused before any panel array is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError, match="quadrature panels"):
+                kernels.heat_kernel(0.01, 20.0, KernelParams(1, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_sphere_surface_area(self):
         assert sphere_surface_area(2) == pytest.approx(2.0 * np.pi, rel=1e-14)
@@ -195,3 +210,58 @@ class TestVectorisedEngine:
         monkeypatch.setattr(inversion, "_first_settled", reference_first_settled)
         ref = [ev(x) for ev in evaluators for x in radii]
         assert got == ref
+
+
+def reference_wynn_epsilon(partial_sums):
+    """The numpy recursion _wynn_epsilon replaced, column by column."""
+    s = np.asarray(partial_sums, dtype=float)
+    m = len(s)
+    if m < 2:
+        return s[-1], np.inf
+    prev = np.zeros(m + 1)
+    cur = s.copy()
+    best_val, best_err = s[-1], abs(s[-1] - s[-2])
+    last_even = s[-1]
+    for col in range(1, m):
+        diff = cur[1:] - cur[:-1]
+        if len(diff) == 0 or (np.abs(diff) < 1e-300).any():
+            break
+        nxt = prev[1 : len(cur)] + 1.0 / diff
+        if not np.isfinite(nxt).all():
+            break
+        prev, cur = cur, nxt
+        if col % 2 == 0:
+            err = abs(cur[-1] - last_even)
+            last_even = cur[-1]
+            if err < best_err:
+                best_val, best_err = cur[-1], err
+    return best_val, best_err
+
+
+class TestWynnEpsilon:
+    def test_bitwise_equal_to_numpy_recursion(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            size = int(rng.integers(1, 41))
+            k = np.arange(size)
+            terms = rng.normal(size=size) * rng.uniform(0.3, 1.0) ** k
+            if rng.random() < 0.5:  # alternating, like the Hankel tails
+                terms = np.abs(terms) * (-1.0) ** k / (k + 1.0) ** rng.uniform(0, 2)
+            if rng.random() < 0.1:  # repeated sums stop the recursion
+                terms[rng.integers(size) :] = 0.0
+            sums = rng.normal() + np.cumsum(terms)
+            if rng.random() < 0.2:  # differences near the 1e-300 cutoff
+                sums *= 10.0 ** rng.uniform(-310, -280)
+            assert inversion._wynn_epsilon(sums) == reference_wynn_epsilon(sums)
+
+    @pytest.mark.parametrize("term, limit", [
+        (lambda k: (-1.0) ** k / (k + 1.0), math.log(2.0)),
+        (lambda k: (-1.0) ** k / (2.0 * k + 1.0), math.pi / 4.0),
+    ])
+    def test_alternating_series(self, term, limit):
+        # the 20th partial sums are still more than 1e-2 off
+        sums = np.cumsum([term(k) for k in range(20)])
+        value, err = inversion._wynn_epsilon(sums)
+        assert (value, err) == reference_wynn_epsilon(sums)
+        assert value == pytest.approx(limit, rel=1e-13, abs=0)
+        assert err < 1e-12

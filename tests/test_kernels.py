@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
+from mixlap import inversion
 from mixlap import kernels as K
 from mixlap.params import DEFAULT_QUAD, KernelParams
 
@@ -129,6 +131,25 @@ class TestBesselKernel:
         vals = np.array([K.bessel_kernel(r, P3) for r in rr])
         slope = np.polyfit(np.log(rr), np.log(vals), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
+
+
+class TestClosedFormBessel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kernels_match_the_jv_path(self, n, monkeypatch):
+        # J_{n/2-1} in closed form (n = 1-4) against scipy's jv, on the same
+        # quadrature points
+        params = KernelParams(n, 0.37)
+        evaluators = [
+            lambda x: K.heat_kernel(x, 1.0, params),
+            lambda x: K.bessel_kernel(x, params),
+            lambda x: K.resolvent_multiplier_kernel(x, params),
+        ]
+        radii = (0.01, 0.3, 1.5)
+        got = [ev(x) for ev in evaluators for x in radii]
+        monkeypatch.setattr(inversion, "bessel_j", lambda nu, x: sp.jv(nu, x))
+        ref = [ev(x) for ev in evaluators for x in radii]
+        assert min(abs(r) for r in ref) > 1e-4
+        assert got == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 class TestResolventMultiplier:

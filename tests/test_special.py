@@ -1,5 +1,7 @@
 """Special-function wrappers: values, identities and domain errors."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -81,6 +83,55 @@ class TestBesselJ:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
+
+
+def _closed_form_points(nu):
+    """x from 1e-10 to 2000, plus points at and next to zeros of J_nu."""
+    zeros = bessel_j_zeros(nu, 640)  # the 640th zero is near 2010
+    zeros = zeros[zeros < 2000.0][::16]
+    near = np.concatenate([zeros, zeros * (1 + 1e-9), zeros - 1e-4, zeros + 1e-3])
+    return np.concatenate([np.logspace(-10, np.log10(2000.0), 120), near])
+
+
+class TestBesselJClosedForms:
+    """J_{-1/2}, J_{1/2}, J_0 and J_1 are evaluated without scipy's jv."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
+    def test_against_mpmath(self, nu):
+        x = _closed_form_points(nu)
+        got = bessel_j(nu, x)
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(nu, mp.mpf(v))) for v in x])
+        # scipy's j0 and j1 reach 2e-13 relative where |J| > 1e-3 and 2e-15
+        # absolute next to their zeros; the trigonometric forms 3e-16 relative
+        assert got == pytest.approx(ref, rel=1e-11, abs=1e-14)
+
+    @pytest.mark.parametrize("nu, value", [(0.0, 1.0), (0.5, 0.0), (1.0, 0.0)])
+    def test_at_zero_without_warning(self, nu, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_j(nu, 0.0) == value
+            assert bessel_j(nu, np.array([0.0, 1.0]))[0] == value
+
+    def test_minus_half_at_zero_overflows_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                bessel_j(-0.5, 0.0)
+            with pytest.raises(FloatingPointError):
+                bessel_j(-0.5, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 2.5])
+    def test_scalar_and_array_types(self, nu):
+        assert type(bessel_j(nu, 1.5)) is float
+        assert type(bessel_j(nu, np.float64(1.5))) is float
+        out = bessel_j(nu, np.array([1.5, 2.5]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
+    def test_domain_error(self, nu):
+        with pytest.raises(ValueError):
+            bessel_j(nu, np.array([1.0, -1e-300]))
 
 
 class TestBesselZeros:
