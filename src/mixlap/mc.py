@@ -18,6 +18,15 @@ from which all sampler constants follow:
   exp(-lambda^s) (Kanter's construction) and A = c^{1/s} A_1 where
   c = t (2 pi)^{-2s}, this equals exp(-c |theta|^{2s}) = exp(-t |xi|^{2s})
   at theta = 2 pi xi.
+
+Memory: a batch is one ``(count, n)`` points array.  The sampler draws each
+sub-batch straight into its rows, and the characteristic-function and
+shell-density checks walk those rows in blocks, so nothing else a check
+allocates grows with ``count``.
+
+Input: ``t`` must be finite and positive and ``count`` at least 1, or
+``sample_mixed`` raises ``ValueError``; the characteristic-function check
+needs ``count >= 2`` for its ``ddof=1`` standard error.
 """
 
 import json
@@ -32,6 +41,9 @@ from .special import gamma
 
 _MIN_SHELL_COUNT = 50
 _SUB_BATCH = 1 << 17  # sampling is split into sub-batches with spawned sub-seeds
+# The statistics walk the points a quarter sub-batch at a time: a block's
+# phases and its 2 pi-scaled rows then take ~2 MB at n = 3 and five frequencies.
+_BLOCK = _SUB_BATCH // 4
 
 
 @dataclass
@@ -59,28 +71,44 @@ def _one_sided_stable(s, size, rng):
 
         A = (a(U) / W)^{(1-s)/s},
         a(u) = sin(s u)^{s/(1-s)} sin((1-s) u) / sin(u)^{1/(1-s)}.
+
+    Evaluated in place on the draws, in the order of the formula.
     """
     u = rng.uniform(0.0, np.pi, size)
     w = rng.standard_exponential(size)
-    a = (
-        np.sin(s * u) ** (s / (1.0 - s))
-        * np.sin((1.0 - s) * u)
-        / np.sin(u) ** (1.0 / (1.0 - s))
-    )
-    return (a / w) ** ((1.0 - s) / s)
+    a = np.multiply(s, u)
+    np.sin(a, out=a)
+    a **= s / (1.0 - s)
+    b = np.multiply(1.0 - s, u)
+    a *= np.sin(b, out=b)
+    np.sin(u, out=u)
+    u **= 1.0 / (1.0 - s)
+    a /= u
+    a /= w
+    a **= (1.0 - s) / s
+    return a
 
 
-def _sample_chunk(t, params, count, rng, mode):
-    n, s = params.n, params.s
-    pts = np.zeros((count, n))
+def _sample_chunk(t, params, out, rng, mode):
+    """Fill the rows of ``out`` with draws of X(t) from ``rng``."""
+    count, n = out.shape
+    s = params.s
     if mode in ("mixed", "gaussian"):
-        sigma = np.sqrt(t / (2.0 * np.pi ** 2))
-        pts += sigma * rng.standard_normal((count, n))
+        rng.standard_normal(out=out)
+        out *= np.sqrt(t / (2.0 * np.pi ** 2))
     if mode in ("mixed", "stable"):
         c = t * (2.0 * np.pi) ** (-2.0 * s)
-        a = c ** (1.0 / s) * _one_sided_stable(s, count, rng)
-        pts += np.sqrt(2.0 * a)[:, None] * rng.standard_normal((count, n))
-    return pts
+        a = _one_sided_stable(s, count, rng)
+        a *= c ** (1.0 / s)
+        a *= 2.0
+        scale = np.sqrt(a, out=a)[:, None]
+        if mode == "stable":
+            rng.standard_normal(out=out)
+            out *= scale
+        else:
+            z = rng.standard_normal((count, n))
+            z *= scale
+            out += z
 
 
 def sample_mixed(t, params, count, seed, mode="mixed"):
@@ -90,39 +118,57 @@ def sample_mixed(t, params, count, seed, mode="mixed"):
     only the Brownian part, "stable" only the 2s-stable part.  Sampling is
     split into fixed-size sub-batches whose generators are spawned from the
     master SeedSequence in order, so the result is independent of how the
-    work would be distributed.
+    work would be distributed.  Each sub-batch is drawn straight into its
+    rows of the one ``(count, n)`` points array.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if mode not in ("mixed", "gaussian", "stable"):
         raise ValueError(f"unknown mode {mode!r}")
-    master = np.random.SeedSequence(seed)
-    n_chunks = (count + _SUB_BATCH - 1) // _SUB_BATCH
-    children = master.spawn(n_chunks)
-    chunks = []
-    remaining = count
-    for child in children:
-        m = min(_SUB_BATCH, remaining)
-        chunks.append(_sample_chunk(t, params, m, np.random.default_rng(child), mode))
-        remaining -= m
-    return SampleBatch(
-        t=t, params=params, count=count, seed=seed,
-        points=np.concatenate(chunks, axis=0), mode=mode,
-    )
+    points = np.empty((count, params.n))
+    children = np.random.SeedSequence(seed).spawn(-(-count // _SUB_BATCH))
+    for start, child in zip(range(0, count, _SUB_BATCH), children):
+        _sample_chunk(t, params, points[start:start + _SUB_BATCH],
+                      np.random.default_rng(child), mode)
+    return SampleBatch(t=t, params=params, count=count, seed=seed, points=points,
+                       mode=mode)
+
+
+def _blocks(points):
+    """Consecutive row blocks of ``points``, ``_BLOCK`` rows each."""
+    return (points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK))
 
 
 def empirical_char_function(batch, xis):
     """Empirical E exp(2 pi i xi . X) with per-frequency standard errors.
 
     Returns (values, standard_errors); by symmetry of the law the imaginary
-    part is pure noise and the real part carries the symbol.
+    part is pure noise and the real part carries the symbol.  The cosines are
+    formed one block of rows at a time and summed, with their squares, after
+    subtracting the first block's mean, so the sum of squares does not cancel
+    when the spread is small against the mean.  The ``ddof=1`` standard error
+    needs ``count >= 2``.
     """
+    if batch.count < 2:
+        raise ValueError(f"a standard error needs count >= 2, got count {batch.count}")
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    phases = 2.0 * np.pi * batch.points @ xis.T
-    re = np.cos(phases)
-    vals = re.mean(axis=0)
-    ses = re.std(axis=0, ddof=1) / np.sqrt(batch.count)
-    return vals, ses
+    shift = None
+    total = squares = 0.0
+    for block in _blocks(batch.points):
+        re = 2.0 * np.pi * block @ xis.T
+        np.cos(re, out=re)
+        if shift is None:
+            shift = re.mean(axis=0)
+        re -= shift
+        total += re.sum(axis=0)
+        re *= re
+        squares += re.sum(axis=0)
+        del re  # so the next block's phases do not coexist with these
+    count = batch.count
+    var = (squares - total * total / count) / (count - 1)
+    return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
 
 
 def validate_char_function(batch, xis, n_sigma=3.0):
@@ -166,14 +212,15 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
     (count / (total * shell volume)) is compared with the kernel averaged
     over the shell; shells whose expected count is below 50 are excluded
     and flagged.  PASS iff all retained shells agree within ``n_sigma``
-    combined standard errors.
+    combined standard errors.  Shell counts are summed block by block.
     """
     edges = np.asarray(radii, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("radii must be increasing shell edges")
     n = batch.params.n
-    r = np.linalg.norm(batch.points, axis=1)
-    counts, _ = np.histogram(r, bins=edges)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for block in _blocks(batch.points):
+        counts += np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
     vols = _shell_volumes(edges, n)
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)

@@ -226,13 +226,13 @@ def _solve(grid, params, cfg, u0):
     if not converged:
         up_p = None
         res = residual(u)
-    nm = norms(u, params, p=cfg.p + 1.0)
-    norm_s_sq = nm["sobolev_s"] ** 2
+    # one norms call serves both identities; the energy is energy_plus's arithmetic
+    norm_s_sq = norms(u, params)["sobolev_s"] ** 2
     lp_plus = _volume_sum(u, np.maximum(u.data, 0.0) ** (cfg.p + 1.0))
     report = SolveReport(
         iterations=it,
         residual_linf=res,
-        energy=energy_plus(u, params, cfg),
+        energy=0.5 * norm_s_sq - lp_plus / (cfg.p + 1.0),
         nehari_gap=abs(norm_s_sq - lp_plus),
         stabilizer_history=stabilizers,
         residual_history=residuals,

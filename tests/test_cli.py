@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,23 @@ class TestMcValidate:
         assert code == 0
         assert read_json(out / "mc-char.json")["pass"] is True
         assert read_json(out / "mc-density.json")["pass"] is True
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--count", "0"], "count must be at least 1, got 0", id="count-0"),
+        pytest.param(["--count", "1"], "count >= 2, got count 1", id="count-1"),
+        pytest.param(["--t", "nan"], "finite and positive, got nan", id="t-nan"),
+        pytest.param(["--t", "inf"], "finite and positive, got inf", id="t-inf"),
+        pytest.param(["--t", "-1"], "finite and positive, got -1.0", id="t-negative"),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "mc"
+        argv = ["mc-validate", "--n", "2", "--s", "0.5", "--count", "1000",
+                "--output-dir", str(out)] + args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy warns
+            assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReports:

@@ -1,5 +1,7 @@
 """Monte-Carlo sampler: convention gating, determinism, density comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,96 @@ class TestDensityComparison:
         path = tmp_path / "density.json"
         mc.write_report(path, rep)
         assert json.loads(path.read_text())["check"] == "shell-density"
+
+
+def _concatenating_sampler(t, params, count, seed, mode):
+    """The sampler before streaming: per-sub-batch arrays, summed and joined.
+
+    Kept as the oracle that the streamed sampler draws the same stream in the
+    same order of operations.
+    """
+    n, s = params.n, params.s
+    children = np.random.SeedSequence(seed).spawn(-(-count // mc._SUB_BATCH))
+    chunks = []
+    remaining = count
+    for child in children:
+        m = min(mc._SUB_BATCH, remaining)
+        rng = np.random.default_rng(child)
+        pts = np.zeros((m, n))
+        if mode in ("mixed", "gaussian"):
+            pts += np.sqrt(t / (2.0 * np.pi ** 2)) * rng.standard_normal((m, n))
+        if mode in ("mixed", "stable"):
+            u = rng.uniform(0.0, np.pi, m)
+            w = rng.standard_exponential(m)
+            a = (np.sin(s * u) ** (s / (1.0 - s)) * np.sin((1.0 - s) * u)
+                 / np.sin(u) ** (1.0 / (1.0 - s)))
+            a = (t * (2.0 * np.pi) ** (-2.0 * s)) ** (1.0 / s) * (a / w) ** ((1.0 - s) / s)
+            pts += np.sqrt(2.0 * a)[:, None] * rng.standard_normal((m, n))
+        chunks.append(pts)
+        remaining -= m
+    return np.concatenate(chunks, axis=0)
+
+
+def _full_array_char_function(points, xis):
+    """Mean and ddof=1 standard error of the cosines over all rows at once."""
+    re = np.cos(2.0 * np.pi * points @ xis.T)
+    return re.mean(axis=0), re.std(axis=0, ddof=1) / np.sqrt(len(points))
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+P3 = KernelParams(3, 0.25)
+
+
+@pytest.fixture(scope="module")
+def batch_1m():
+    return mc.sample_mixed(1.0, P3, 10 ** 6, seed=19)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("params", [P2, P3], ids=["n2-s0.5", "n3-s0.25"])
+    @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
+    @pytest.mark.parametrize("count", [1, 1000, mc._SUB_BATCH + 123])
+    def test_points_bitwise_equal_to_concatenating_sampler(self, params, mode, count):
+        got = mc.sample_mixed(0.7, params, count, seed=31, mode=mode).points
+        want = _concatenating_sampler(0.7, params, count, 31, mode)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["mixed", "gaussian"])
+    def test_char_function_matches_full_array(self, mode):
+        batch = mc.sample_mixed(1.0, P3, mc._SUB_BATCH + 123, seed=17, mode=mode)
+        xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
+        xis[0] *= 1e-3  # cosines near 1: the spread is tiny against the mean
+        vals, ses = mc.empirical_char_function(batch, xis)
+        want_vals, want_ses = _full_array_char_function(batch.points, xis)
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ses, want_ses, rtol=1e-12, atol=0)
+
+    def test_density_counts_equal_histogram(self):
+        # several blocks and a partial last sub-batch
+        batch = mc.sample_mixed(1.0, P3, mc._SUB_BATCH + 123, seed=17)
+        edges = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10), [200.0, 201.0]))
+        rep = mc.compare_density(batch, edges)
+        assert rep["excluded"]
+        rows = sorted(rep["shells"] + rep["excluded"], key=lambda row: row["r_lo"])
+        want, _ = np.histogram(np.linalg.norm(batch.points, axis=1), edges)
+        assert [row["count"] for row in rows] == want.tolist()
+
+    def test_sampler_holds_one_points_array(self):
+        extra = _peak_bytes(mc.sample_mixed, 1.0, P3, 10 ** 6, 19) - 10 ** 6 * 3 * 8
+        assert extra < 16e6
+
+    def test_char_function_memory_is_one_block(self, batch_1m):
+        xis = np.random.default_rng(20).uniform(-1.0, 1.0, (5, 3))
+        assert _peak_bytes(mc.validate_char_function, batch_1m, xis) < 8e6
+
+    def test_density_memory_is_one_block(self, batch_1m):
+        assert _peak_bytes(mc.compare_density, batch_1m, [0.5, 1.0, 1.5]) < 8e6

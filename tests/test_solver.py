@@ -195,13 +195,16 @@ class TestTransformBudget:
         for name in calls:
             monkeypatch.setattr(S.fft, name, counted(name))
         grid = S.GridSpec(2, 15.0, 64)
-        _, report = V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0))
+        cfg = V.SolverConfig(p=3.0)
+        u, report = V.solve_ground_state(grid, P2, cfg)
         assert report.converged
-        # c = 6: apply_operator at the start (rfftn + irfftn), the one
-        # gradient_plus confirming the stop (rfftn + irfftn), and the norms
-        # of the report and of energy_plus (one rfftn each)
-        assert calls["rfftn"] + calls["irfftn"] == 2 * report.iterations + 6
+        # c = 5: apply_operator at the start (rfftn + irfftn), the one
+        # gradient_plus confirming the stop (rfftn + irfftn), and the one
+        # norms call that serves both the energy and the Nehari gap (rfftn)
+        assert calls["rfftn"] + calls["irfftn"] == 2 * report.iterations + 5
         assert calls["irfftn"] == report.iterations + 2
+        # the report's energy is energy_plus's arithmetic on the same norms
+        assert report.energy == V.energy_plus(u, P2, cfg)
 
     def test_identity_residual_matches_gradient(self, monkeypatch):
         grid = S.GridSpec(2, 15.0, 64)

@@ -8,7 +8,9 @@ metrics; a renamed function or a dropped by-name import fails there.
 import os
 import sys
 
-from mixlap import kernels
+import numpy as np
+
+from mixlap import kernels, mc
 from mixlap.params import KernelParams
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -31,3 +33,23 @@ def test_traced_kernel_value_nests_bessel_in_inversion():
     assert metrics["special.bessel_j.points"]["value"] > 0
     assert metrics["kernels.bessel_kernel.calls"]["value"] == 1
     assert metrics["inversion.radial_inverse_fourier.calls"]["value"] == 1
+
+
+def test_traced_monte_carlo_checks():
+    count = 20_000
+    edges = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10)))  # mc-validate's 11 edges
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        batch = mc.sample_mixed(1.0, KernelParams(2, 0.5), count, 3)
+        mc.validate_char_function(batch, np.array([[0.3, 0.1], [-0.5, 0.7]]))
+        mc.compare_density(batch, edges)
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    (sample,) = [sp for sp in tracer.spans if sp.name == "mc.sample_mixed"]
+    assert sample.attrs["samples"] == count
+    # 10 shells of 8 Gauss nodes, each a heat_kernel call seen through mc's own name
+    assert metrics["mc.compare_density.heat_kernel_calls"]["value"] == 80
+    assert metrics["mc.sample_mixed.samples_per_s"]["value"] > 0
+    assert metrics["mc.validate_char_function.ms"]["value"] > 0
