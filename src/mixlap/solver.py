@@ -4,18 +4,32 @@ The positive ground state is computed on the periodic box by Petviashvili
 fixed-point iteration: each step solves the resolvent equation for the
 positive-part nonlinearity and renormalizes by the stabilizer
 
-    m_k = <u, (1 + operator) u> / <u, (u+)^p>,
+    m_k = <x, (1 + operator) x> / <x, (x+)^p>,
 
 whose fixed points with m_k = 1 are exactly the discrete weak solutions.
 The nonlinearity is evaluated pointwise (collocation), so the discrete
 Nehari and fiber-energy identities hold to roundoff at convergence.
 
-Every iterate after the first is u_{k+1} = m_k^gamma R[(u_k+)^p] with
-R = (1 + operator)^{-1}, so (1 + operator) u_{k+1} = m_k^gamma (u_k+)^p holds
-exactly.  The next stabilizer numerator <u_{k+1}, m_k^gamma (u_k+)^p> and the
-residual m_k^gamma (u_k+)^p - (u_{k+1}+)^p are therefore pointwise, and a step
-costs one rfftn and one irfftn, those of the resolvent.  Only the first step
-applies the operator, and a solve confirms its stopping residual with FFTs.
+A step maps its input x_k to the image g_k = m_k^gamma R[(x_k+)^p] with
+R = (1 + operator)^{-1}, so (1 + operator) g_k = m_k^gamma (x_k+)^p holds
+exactly.  The residual m_k^gamma (x_k+)^p - (g_k+)^p of the image is therefore
+pointwise, and a step costs one rfftn and one irfftn, those of the resolvent.
+
+The solve wraps the step in depth-1 Anderson mixing (type II; H. F. Walker and
+P. Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735).  With f_k = g_k - x_k, the
+next input is x_{k+1} = g_k + theta_k (g_{k-1} - g_k), where theta_k minimizes
+|f_k + theta (f_{k-1} - f_k)|.  The history is the two grid arrays g_{k-1} and
+f_{k-1}.  Since the input is a combination of two images, its stabilizer
+numerator is the same combination of <g_i, (1 + operator) g_j>, each a
+pointwise product, so mixing adds no transform.  A safeguard keeps the plain
+step x_{k+1} = g_k, and restarts the history, where theta is not finite or the
+mixed input's stabilizer denominator <x, (x+)^p> is not positive; the plain
+iteration converges under conditions on the stabilizer (D. E. Pelinovsky and
+Yu. A. Stepanyants, SIAM J. Numer. Anal. 42 (2004) 1110-1127).
+
+The solve stops on an image: the returned field is the last step's g_k,
+whose pointwise residual the stop tests.  Only the first step applies the
+operator, and a solve confirms its stopping residual with FFTs.
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +94,15 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Convergence diagnostics of a ground-state solve."""
+    """Convergence diagnostics of a ground-state solve.
+
+    Each history has one entry a step.  ``stabilizer_history`` holds the
+    stabilizer of the step's input and ``mixing_history`` the theta that
+    mixed that input, 0.0 where the input was not mixed: the starting field,
+    and the plain image taken where the history was empty or the safeguard
+    fell back.  ``residual_history`` holds the pointwise residual of the
+    step's image.  ``mixing_fallbacks`` counts the safeguard's fallbacks.
+    """
 
     iterations: int
     residual_linf: float
@@ -88,6 +110,8 @@ class SolveReport:
     nehari_gap: float
     stabilizer_history: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
+    mixing_history: list = field(default_factory=list)
+    mixing_fallbacks: int = 0
     converged: bool = False
 
     def to_dict(self):
@@ -102,6 +126,8 @@ class SolveReport:
             "converged": self.converged,
             "stabilizer_history": list(self.stabilizer_history),
             "residual_history": list(self.residual_history),
+            "mixing_history": list(self.mixing_history),
+            "mixing_fallbacks": self.mixing_fallbacks,
         }
 
 
@@ -160,7 +186,8 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None):
         )
     m_k = num / den
     scale = m_k ** cfg.gamma_stab
-    nxt = RealField(u.grid, scale * apply_resolvent(up_p, params).data)
+    nxt = apply_resolvent(up_p, params)
+    nxt.data *= scale
     # (1 + operator) nxt = scale * up_p: turn up_p into it, read the next
     # numerator, then overwrite it with the residual
     lin = up_p.data
@@ -184,7 +211,8 @@ def initial_field(grid, cfg):
 
 
 def solve_ground_state(grid, params, cfg, u0=None):
-    """Iterate to the positive ground state on the box.
+    """Iterate to the positive ground state on the box by Anderson-mixed
+    Petviashvili steps (see the module docstring).
 
     Stops when the residual max norm falls below ``cfg.tol_residual`` and
     the stabilizer satisfies |m_k - 1| < 1e-10 jointly; either criterion
@@ -198,33 +226,85 @@ def solve_ground_state(grid, params, cfg, u0=None):
         half_symbol.cache_clear()  # the symbol lives only as long as the solve
 
 
+def _dot(a, b):
+    """Sum of a * b over the grid, without a temporary grid array."""
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
 def _solve(grid, params, cfg, u0):
     cfg.check_subcritical(grid.n)
-    u = initial_field(grid, cfg) if u0 is None else u0.copy()
+    x = initial_field(grid, cfg) if u0 is None else u0.copy()
 
     def residual(u):
         return float(np.abs(gradient_plus(u, params, cfg).data).max())
 
     stabilizers = []
     residuals = []
+    thetas = []
+    fallbacks = 0
     converged = False
     up_p = num = None
+    # the history: the previous image g_prev, its residual f_prev = g_prev - x
+    # and their scalars |f_prev|^2 and a_prev = <g_prev, (1 + operator) g_prev>
+    g_prev = f_prev = None
+    theta = 0.0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        u, m_k, pointwise, up_p, num = petviashvili_step(u, params, cfg, up_p, num)
+        if g_prev is not None:
+            cross = _dot(g_prev.data, up_p.data)  # before the step overwrites up_p
+        u, m_k, pointwise, up_p, a_k = petviashvili_step(x, params, cfg, up_p, num)
         stabilizers.append(m_k)
         residuals.append(pointwise)
+        thetas.append(theta)
         if abs(m_k - 1.0) < _STABILIZER_TOL and pointwise <= cfg.tol_residual:
-            # (u+)^p is dropped so that the check's FFTs add no grid array to
-            # the step's peak; a failed check restarts the carry from u
-            up_p = None
+            # the history and (u+)^p are dropped so that the check's FFTs add
+            # no grid array to the step's peak; a failed check restarts the
+            # carry and the history from u
+            x = up_p = g_prev = f_prev = f = None
             res = residual(u)
             if res <= cfg.tol_residual:
                 converged = True
                 break
+            x, num, theta = u.copy(), None, 0.0
+            continue
+
+        # x is the solver's own array, never a step's image: the residual
+        # u - x goes into its buffer
+        f = np.subtract(u.data, x.data, out=x.data)
+        f_sq = _dot(f, f)
+        x = None
+        if g_prev is not None:
+            # depth-1 Anderson mixing: theta minimizes |f + theta (f_prev - f)|
+            f_cross = _dot(f_prev, f)
+            df_sq = f_sq - 2.0 * f_cross + f_prev_sq
+            theta = (f_sq - f_cross) / df_sq if df_sq > 0.0 else np.nan
+            if np.isfinite(theta):
+                # the mixed input u + theta (g_prev - u), in f_prev's buffer
+                np.subtract(g_prev.data, u.data, out=f_prev)
+                f_prev *= theta
+                f_prev += u.data
+                x = RealField(grid, f_prev)
+                positive_part_power(x, cfg.p, out=up_p.data)
+                if _dot(x.data, up_p.data) > 0.0:
+                    # (1 + operator) u is m^gamma times the step input's
+                    # (x+)^p, so the mixed input's numerator needs only
+                    # a_k, b_k and a_prev
+                    b_k = m_k ** cfg.gamma_stab * grid.cell_volume * cross
+                    num = ((1.0 - theta) ** 2 * a_k + 2.0 * theta * (1.0 - theta) * b_k
+                           + theta ** 2 * a_prev)
+                else:
+                    x = None
+                    positive_part_power(u, cfg.p, out=up_p.data)
+            if x is None:
+                fallbacks += 1  # the safeguard
+        if x is None:
+            # the plain step, which also starts a new history from u
+            theta = 0.0
+            x, num = u.copy(), a_k
+        g_prev, f_prev, f_prev_sq, a_prev = u, f, f_sq, a_k
 
     if not converged:
-        up_p = None
+        x = up_p = g_prev = f_prev = f = None
         res = residual(u)
     # one norms call serves both identities; the energy is energy_plus's arithmetic
     norm_s_sq = norms(u, params)["sobolev_s"] ** 2
@@ -236,6 +316,8 @@ def _solve(grid, params, cfg, u0):
         nehari_gap=abs(norm_s_sq - lp_plus),
         stabilizer_history=stabilizers,
         residual_history=residuals,
+        mixing_history=thetas,
+        mixing_fallbacks=fallbacks,
         converged=converged,
     )
     return u, report

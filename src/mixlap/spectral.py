@@ -10,7 +10,9 @@ eigenvalues.
 
 Fields are real, so the operator, resolvent and norms work on the real-FFT
 half spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the
-symbol built once per (grid, s) by ``half_symbol``.
+symbol built once per (grid, s) by ``half_symbol``.  The resolvent, applied on
+every solver step, multiplies by the stored 1 / (1 + w^2 + w^{2s}); the
+operator, applied once or twice a solve, forms its symbol per call.
 """
 
 import json
@@ -103,18 +105,19 @@ class HalfSymbol:
     partner, so that sum(weight * |c|^2) over the half layout equals
     sum(|c|^2) over the full one: 1 on the zero and Nyquist planes of the
     last axis, whose partners lie in the same plane, and 2 elsewhere.  It is
-    shaped to broadcast along the last axis.  The arrays are read-only.
+    shaped to broadcast along the last axis.  ``resolvent`` is
+    1 / (1 + operator_symbol).  The arrays are read-only.
     """
 
     w_sq: np.ndarray
     w_2s: np.ndarray
-    multiplier: np.ndarray
+    resolvent: np.ndarray
     weight: np.ndarray
 
 
 @lru_cache(maxsize=1)
 def half_symbol(grid, s):
-    """w^2, w^{2s}, operator_symbol and Parseval weights of ``grid`` at order ``s``.
+    """w^2, w^{2s}, the resolvent symbol and Parseval weights of ``grid`` at order ``s``.
 
     One entry is cached: a solve reuses its symbol on every step, and
     ``solve_ground_state`` clears the cache on return so that the arrays
@@ -128,10 +131,10 @@ def half_symbol(grid, s):
     sym = HalfSymbol(
         w_sq=w_sq,
         w_2s=w_sq ** s,
-        multiplier=operator_symbol(w_sq, s),
+        resolvent=1.0 / (1.0 + operator_symbol(w_sq, s)),
         weight=weight.reshape((1,) * (grid.n - 1) + (-1,)),
     )
-    for arr in (sym.w_sq, sym.w_2s, sym.multiplier, sym.weight):
+    for arr in (sym.w_sq, sym.w_2s, sym.resolvent, sym.weight):
         arr.flags.writeable = False
     return sym
 
@@ -142,19 +145,18 @@ def _field_from_half(c, grid):
 
 def apply_operator(f, params, include_identity=False):
     """Apply -Laplacian + (-Laplacian)^s (optionally + identity) spectrally."""
-    m = half_symbol(f.grid, params.s).multiplier
+    m = operator_symbol(half_symbol(f.grid, params.s).w_sq, params.s)
     if include_identity:
-        m = m + 1.0
+        m += 1.0
     c = fft.rfftn(f.data)
     c *= m
     return _field_from_half(c, f.grid)
 
 
 def apply_resolvent(f, params):
-    """Invert identity + operator: divide by 1 + w^2 + w^{2s} in frequency space."""
-    m = half_symbol(f.grid, params.s).multiplier
+    """Invert identity + operator: multiply by 1 / (1 + w^2 + w^{2s}) in frequency space."""
     c = fft.rfftn(f.data)
-    c /= 1.0 + m
+    c *= half_symbol(f.grid, params.s).resolvent
     return _field_from_half(c, f.grid)
 
 
@@ -194,11 +196,11 @@ def norms(f, params, p=None):
     return out
 
 
-def positive_part_power(f, p):
-    """(max(f, 0))^p, pointwise."""
+def positive_part_power(f, p, out=None):
+    """(max(f, 0))^p, pointwise; written into the array ``out`` when given."""
     if p <= 0:
         raise ValueError("power p must be positive")
-    out = np.maximum(f.data, 0.0)
+    out = np.maximum(f.data, 0.0, out=out)
     out **= p  # in place: one grid array, not two, at the solver's peak
     return RealField(f.grid, out)
 

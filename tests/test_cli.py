@@ -170,6 +170,8 @@ class TestSolveAnalyze:
         assert history[-1] == report["stabilizer_final"]
         residuals = report["residual_history"]
         assert len(residuals) == report["iterations"]
+        assert len(report["mixing_history"]) == report["iterations"]
+        assert report["mixing_fallbacks"] == 0
         tol = read_json(out / "manifest.json")["config"]["tol_residual"]
         assert residuals[-1] <= tol
 

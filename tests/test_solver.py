@@ -1,5 +1,7 @@
 """Petviashvili ground-state solver: step algebra, convergence, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,12 +269,91 @@ class TestTransformBudget:
         assert report.residual_linf <= cfg.tol_residual
 
     def test_fixture_iterations_and_residual(self, ground_state):
-        # the values of the earlier step, which applied the operator to every
-        # iterate; the residual is a difference of O(10) values, so roundoff
+        # the values of the Anderson-mixed solve (the plain iteration took 60
+        # steps); the residual is a difference of O(10) values, so roundoff
         # moves it by ~1e-14
         _, _, _, report = ground_state
-        assert report.iterations == 60
-        assert report.residual_linf == pytest.approx(7.463185625056212e-11, abs=1e-12)
+        assert report.iterations == 25
+        assert report.residual_linf == pytest.approx(6.443556799240469e-11, abs=1e-12)
+
+
+def plain_solve(grid, params, cfg):
+    """The plain Petviashvili iteration under the solver's joint stop.
+
+    The oracle of the mixed solve: repeated ``petviashvili_step`` calls, each
+    on the image of the last.  Returns (field, steps).
+    """
+    u, up_p, num = V.initial_field(grid, cfg), None, None
+    try:
+        for it in range(1, cfg.max_iter + 1):
+            u, m_k, residual, up_p, num = V.petviashvili_step(u, params, cfg, up_p, num)
+            if abs(m_k - 1.0) < V._STABILIZER_TOL and residual <= cfg.tol_residual:
+                return u, it
+    finally:
+        S.half_symbol.cache_clear()
+    raise AssertionError("the plain iteration did not converge")
+
+
+class TestAndersonMixing:
+    """Depth-1 Anderson mixing around the Petviashvili step."""
+
+    @pytest.mark.parametrize("case", [
+        (2, 0.5, 3.0, 15.0, 128),  # the ground_state fixture
+        (3, 0.5, 2.0, 15.0, 32),
+    ], ids=["fixture-2d", "3d-32"])
+    def test_fewer_than_half_the_plain_steps(self, case):
+        n, s, p, L, N = case
+        grid, params, cfg = S.GridSpec(n, L, N), KernelParams(n, s), V.SolverConfig(p=p)
+        oracle, plain_steps = plain_solve(grid, params, cfg)
+        u, report = V.solve_ground_state(grid, params, cfg)
+        assert report.converged
+        assert report.mixing_fallbacks == 0
+        assert 2 * report.iterations < plain_steps
+        assert np.abs(u.data - oracle.data).max() <= 1e-9 * oracle.data.max()
+        assert len(report.mixing_history) == report.iterations
+        assert report.mixing_history[:2] == [0.0, 0.0]  # the start, then a plain image
+        assert all(theta != 0.0 for theta in report.mixing_history[2:])
+
+    def test_safeguard_falls_back_to_the_plain_step(self, ground_state, monkeypatch):
+        # the (x+)^p of the second mixed input is zeroed, so its stabilizer
+        # denominator <x, (x+)^p> is 0: the solve takes the plain step there,
+        # clears the history and still converges to the same field
+        grid, cfg, u, report = ground_state
+        power = V.positive_part_power
+        writes = 0
+
+        def zeroing(f, p, out=None):
+            nonlocal writes
+            result = power(f, p, out=out)
+            if out is not None:  # the solve writes each mixed input's (x+)^p
+                writes += 1
+                if writes == 2:
+                    out[...] = 0.0
+            return result
+
+        monkeypatch.setattr(V, "positive_part_power", zeroing)
+        u2, rep2 = V.solve_ground_state(grid, P2, cfg)
+        assert rep2.converged
+        assert rep2.mixing_fallbacks == 1
+        # the start, the plain image after step 1, and the plain image that
+        # replaced the rejected input of step 4; every other input is mixed
+        unmixed = [k for k, theta in enumerate(rep2.mixing_history) if theta == 0.0]
+        assert unmixed == [0, 1, 3]
+        assert np.abs(u2.data - u.data).max() <= 1e-9 * u.data.max()
+
+    def test_traced_memory_of_a_3d_solve(self):
+        # the history adds two grid arrays (2 MiB each at 64^3) to the plain
+        # solve's peak of about 11.4 MiB
+        grid = S.GridSpec(3, 15.0, 64)
+        params, cfg = KernelParams(3, 0.5), V.SolverConfig(p=2.0)
+        tracemalloc.start()
+        try:
+            _, report = V.solve_ground_state(grid, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 16 * 2 ** 20
 
 
 class TestMountainPass:

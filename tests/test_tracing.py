@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from mixlap import kernels, mc
+from mixlap import kernels, mc, solver, spectral
 from mixlap.params import KernelParams
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -53,3 +53,21 @@ def test_traced_monte_carlo_checks():
     assert metrics["mc.compare_density.heat_kernel_calls"]["value"] == 80
     assert metrics["mc.sample_mixed.samples_per_s"]["value"] > 0
     assert metrics["mc.validate_char_function.ms"]["value"] > 0
+
+
+def test_traced_solve_steps_through_the_solver_global():
+    # per-step metrics read 0 unless every step goes through the
+    # solver.petviashvili_step global that the tracer wraps
+    grid = spectral.GridSpec(2, 15.0, 64)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, report = solver.solve_ground_state(grid, KernelParams(2, 0.5),
+                                              solver.SolverConfig(p=3.0))
+        metrics = tracer.metrics(1)
+    finally:
+        tracer.uninstall()
+    assert report.converged
+    assert metrics["solver.petviashvili_step.calls"]["value"] == report.iterations
+    assert metrics["spectral.bytes_per_step.computed"]["value"] > 0
+    assert metrics["solver.gradient_plus.calls"]["value"] == 1
