@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import interpolate
 
 from .errors import MixlapError
 from .fileio import atomic_write
@@ -195,6 +194,8 @@ def _sphere_ball_overlap(u, r, rho, n):
 
 def _kernel_interpolant(label, params, quad, r_lo, r_hi, extra=None, n_tab=400):
     """Log-log cubic spline through a tabulated kernel profile."""
+    from scipy import interpolate
+
     grid = np.geomspace(r_lo, r_hi, n_tab)
     prof = tabulate_kernel(label, grid, params, quad, **(extra or {}))
     spline = interpolate.CubicSpline(np.log(prof.radii), np.log(prof.values))

@@ -281,7 +281,8 @@ def _cmd_mc_validate(args):
     mc.write_report(os.path.join(outdir, "mc-char.json"), char_rep)
     mc.write_report(os.path.join(outdir, "mc-density.json"), dens_rep)
     passed = char_rep["pass"] and dens_rep["pass"]
-    config = {"n": params.n, "s": params.s, "t": t, "count": count, "seed": seed}
+    config = {"n": params.n, "s": params.s, "t": t, "count": count, "seed": seed,
+              "workers": mc.worker_count()}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
 

@@ -23,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError
 from .params import DEFAULT_QUAD
@@ -154,6 +153,8 @@ def _first_settled(tail_mag, sums, abs_floor, rel_tol):
 
 def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
     """int_{R^n} g(|xi|) d xi for a radial, absolutely integrable symbol."""
+    from scipy import integrate
+
     area = sphere_surface_area(n)
     val, _ = integrate.quad(
         lambda r: symbol(np.array([r]))[0] * r ** (n - 1),

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .fileio import atomic_write
 from .inversion import radial_inverse_fourier, radial_symbol_integral
@@ -215,6 +214,8 @@ def bessel_kernel_time_integral(x_norm, params, quad=DEFAULT_QUAD):
     Independent cross-check of ``bessel_kernel``; integrates quadrature heat
     kernel values, so it never touches the rational-symbol path.
     """
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda t: np.exp(-t) * heat_kernel(x_norm, t, params, quad),
         0.0,
@@ -345,6 +346,8 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD, r_max=30.0):
     whose compensated error at r_max = 30 is below 1%, i.e. the correction
     itself is accurate to ~1e-5 of the total mass.
     """
+    from scipy import integrate
+
     from .inversion import sphere_surface_area
 
     area = sphere_surface_area(params.n)

@@ -20,9 +20,17 @@ from which all sampler constants follow:
   at theta = 2 pi xi.
 
 Memory: a batch is one ``(count, n)`` points array.  The sampler draws each
-sub-batch straight into its rows, and the characteristic-function and
-shell-density checks walk those rows in blocks, so nothing else a check
+sub-batch straight into its rows, with three sub-batch-long vectors and one
+small buffer of Gaussian rows as temporaries, and the characteristic-function
+and shell-density checks walk those rows in blocks, so nothing else a check
 allocates grows with ``count``.
+
+Threads: the sub-batches and the checks' blocks are independent units of work,
+mapped over ``worker_count()`` threads (at most two; numpy releases the GIL in
+this work).  A sub-batch draws from its own spawned generator into its own
+rows, and the blocks' partial sums are added in block order, so every result
+is bitwise the same whatever the worker count.  At most two units, and so two
+units' temporaries, are in flight at a time.
 
 Input: ``t`` must be finite and positive and ``count`` at least 1, or
 ``sample_mixed`` raises ``ValueError``; the characteristic-function check
@@ -30,6 +38,8 @@ needs ``count >= 2`` for its ``ddof=1`` standard error.
 """
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +54,26 @@ _SUB_BATCH = 1 << 17  # sampling is split into sub-batches with spawned sub-seed
 # The statistics walk the points a quarter sub-batch at a time: a block's
 # phases and its 2 pi-scaled rows then take ~2 MB at n = 3 and five frequencies.
 _BLOCK = _SUB_BATCH // 4
+_NORMAL_ROWS = 1 << 13  # rows of the mixed sampler's reused Gaussian buffer
+
+
+def worker_count():
+    """Threads the oracle maps its work over: two, or one on a one-CPU process.
+
+    Two is the cap, not a tuning value: the sampler's and the checks' memory
+    bounds allow two units of work in flight at a time.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _map(fn, items):
+    """``[fn(item) for item in items]`` on ``worker_count()`` threads, in order."""
+    with ThreadPoolExecutor(worker_count()) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -72,10 +102,10 @@ def _one_sided_stable(s, size, rng):
         A = (a(U) / W)^{(1-s)/s},
         a(u) = sin(s u)^{s/(1-s)} sin((1-s) u) / sin(u)^{1/(1-s)}.
 
-    Evaluated in place on the draws, in the order of the formula.
+    Evaluated in place on the draws, in the order of the formula; W is drawn
+    after U, as the stream has it, once the work on U has freed a buffer.
     """
     u = rng.uniform(0.0, np.pi, size)
-    w = rng.standard_exponential(size)
     a = np.multiply(s, u)
     np.sin(a, out=a)
     a **= s / (1.0 - s)
@@ -84,7 +114,7 @@ def _one_sided_stable(s, size, rng):
     np.sin(u, out=u)
     u **= 1.0 / (1.0 - s)
     a /= u
-    a /= w
+    a /= rng.standard_exponential(out=b)
     a **= (1.0 - s) / s
     return a
 
@@ -106,9 +136,14 @@ def _sample_chunk(t, params, out, rng, mode):
             rng.standard_normal(out=out)
             out *= scale
         else:
-            z = rng.standard_normal((count, n))
-            z *= scale
-            out += z
+            # Z in row pieces: the stream and the sums are those of one
+            # (count, n) draw
+            z = np.empty((min(count, _NORMAL_ROWS), n))
+            for start in range(0, count, _NORMAL_ROWS):
+                stop = min(start + _NORMAL_ROWS, count)
+                piece = rng.standard_normal(out=z[:stop - start])
+                piece *= scale[start:stop]
+                out[start:stop] += piece
 
 
 def sample_mixed(t, params, count, seed, mode="mixed"):
@@ -118,8 +153,8 @@ def sample_mixed(t, params, count, seed, mode="mixed"):
     only the Brownian part, "stable" only the 2s-stable part.  Sampling is
     split into fixed-size sub-batches whose generators are spawned from the
     master SeedSequence in order, so the result is independent of how the
-    work would be distributed.  Each sub-batch is drawn straight into its
-    rows of the one ``(count, n)`` points array.
+    work is distributed over threads.  Each sub-batch is drawn straight into
+    its rows of the one ``(count, n)`` points array.
     """
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
@@ -128,17 +163,22 @@ def sample_mixed(t, params, count, seed, mode="mixed"):
     if mode not in ("mixed", "gaussian", "stable"):
         raise ValueError(f"unknown mode {mode!r}")
     points = np.empty((count, params.n))
-    children = np.random.SeedSequence(seed).spawn(-(-count // _SUB_BATCH))
-    for start, child in zip(range(0, count, _SUB_BATCH), children):
+    starts = range(0, count, _SUB_BATCH)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def draw(job):
+        start, child = job
         _sample_chunk(t, params, points[start:start + _SUB_BATCH],
                       np.random.default_rng(child), mode)
+
+    _map(draw, zip(starts, children))
     return SampleBatch(t=t, params=params, count=count, seed=seed, points=points,
                        mode=mode)
 
 
 def _blocks(points):
     """Consecutive row blocks of ``points``, ``_BLOCK`` rows each."""
-    return (points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK))
+    return [points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK)]
 
 
 def empirical_char_function(batch, xis):
@@ -148,24 +188,33 @@ def empirical_char_function(batch, xis):
     part is pure noise and the real part carries the symbol.  The cosines are
     formed one block of rows at a time and summed, with their squares, after
     subtracting the first block's mean, so the sum of squares does not cancel
-    when the spread is small against the mean.  The ``ddof=1`` standard error
-    needs ``count >= 2``.
+    when the spread is small against the mean.  The blocks' sums are added in
+    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
     """
     if batch.count < 2:
         raise ValueError(f"a standard error needs count >= 2, got count {batch.count}")
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    shift = None
-    total = squares = 0.0
-    for block in _blocks(batch.points):
+
+    def cosines(block):
         re = 2.0 * np.pi * block @ xis.T
-        np.cos(re, out=re)
-        if shift is None:
-            shift = re.mean(axis=0)
+        return np.cos(re, out=re)
+
+    def sums(re):
         re -= shift
-        total += re.sum(axis=0)
+        total = re.sum(axis=0)
         re *= re
-        squares += re.sum(axis=0)
-        del re  # so the next block's phases do not coexist with these
+        return total, re.sum(axis=0)
+
+    blocks = _blocks(batch.points)
+    first = cosines(blocks[0])
+    shift = first.mean(axis=0)
+    parts = [sums(first)]
+    del first  # so that no later block's phases coexist with these
+    parts += _map(lambda block: sums(cosines(block)), blocks[1:])
+    total = squares = 0.0
+    for block_total, block_squares in parts:
+        total += block_total
+        squares += block_squares
     count = batch.count
     var = (squares - total * total / count) / (count - 1)
     return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
@@ -212,15 +261,17 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
     (count / (total * shell volume)) is compared with the kernel averaged
     over the shell; shells whose expected count is below 50 are excluded
     and flagged.  PASS iff all retained shells agree within ``n_sigma``
-    combined standard errors.  Shell counts are summed block by block.
+    combined standard errors.  Shell counts are taken block by block.
     """
     edges = np.asarray(radii, dtype=float)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("radii must be increasing shell edges")
     n = batch.params.n
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    for block in _blocks(batch.points):
-        counts += np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
+
+    def shell_counts(block):
+        return np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
+
+    counts = np.sum(_map(shell_counts, _blocks(batch.points)), axis=0)
     vols = _shell_volumes(edges, n)
 
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)

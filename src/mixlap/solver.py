@@ -135,6 +135,11 @@ def _volume_sum(f, values):
     return float(f.grid.cell_volume * values.sum())
 
 
+def _dot(a, b):
+    """Sum of a * b over the grid, without a temporary grid array."""
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
 def energy_plus(u, params, cfg):
     """The functional (1/2)||u||_s^2 - 1/(p+1) integral of (u+)^{p+1}."""
     nm = norms(u, params)
@@ -174,11 +179,11 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None):
     ``u``; the step overwrites ``up_p``.  Without them it computes both from
     ``u``, at the cost of one ``apply_operator``.
     """
+    dv = u.grid.cell_volume
     if up_p is None:
-        num = _volume_sum(
-            u, u.data * apply_operator(u, params, include_identity=True).data)
+        num = dv * _dot(u.data, apply_operator(u, params, include_identity=True).data)
         up_p = positive_part_power(u, cfg.p)
-    den = _volume_sum(u, u.data * up_p.data)
+    den = dv * _dot(u.data, up_p.data)
     if den <= 0.0:
         raise DegenerateIterateError(
             "stabilizer denominator <u, (u+)^p> is nonpositive: "
@@ -192,7 +197,7 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None):
     # numerator, then overwrite it with the residual
     lin = up_p.data
     lin *= scale
-    next_num = _volume_sum(u, nxt.data * lin)
+    next_num = dv * _dot(nxt.data, lin)
     next_up_p = positive_part_power(nxt, cfg.p)
     lin -= next_up_p.data
     residual = float(np.abs(lin, out=lin).max())
@@ -224,11 +229,6 @@ def solve_ground_state(grid, params, cfg, u0=None):
         return _solve(grid, params, cfg, u0)
     finally:
         half_symbol.cache_clear()  # the symbol lives only as long as the solve
-
-
-def _dot(a, b):
-    """Sum of a * b over the grid, without a temporary grid array."""
-    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def _solve(grid, params, cfg, u0):

@@ -15,7 +15,6 @@ asymptotics refined by bracketed root finding.
 """
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sp
 
 __all__ = ["gamma", "bessel_j", "bessel_j_zeros"]
@@ -82,6 +81,8 @@ def bessel_j_zeros(nu, count):
         return k * np.pi
     if float(nu).is_integer() and nu >= 0:
         return sp.jn_zeros(int(nu), count)
+    from scipy import optimize
+
     approx = _mcmahon_zeros(nu, count)
     zeros = np.empty(count)
     for i, z in enumerate(approx):

@@ -4,12 +4,15 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixlap
 from mixlap import analysis, kernels, mc, spectral
 from mixlap.cli import build_parser, main
 
@@ -228,6 +231,8 @@ class TestMcValidate:
         assert code == 0
         assert read_json(out / "mc-char.json")["pass"] is True
         assert read_json(out / "mc-density.json")["pass"] is True
+        config = read_json(out / "manifest.json")["config"]
+        assert config["workers"] == mc.worker_count()
 
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--count", "0"], "count must be at least 1, got 0", id="count-0"),
@@ -245,6 +250,19 @@ class TestMcValidate:
             assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestImport:
+    def test_cli_leaves_the_unused_scipy_subpackages_unimported(self):
+        # only cross-checks, n >= 5 Bessel zeros and barriers use them
+        code = ("import json, sys, mixlap.cli; print(json.dumps([m for m in "
+                "('scipy.integrate', 'scipy.optimize', 'scipy.interpolate') "
+                "if m in sys.modules]))")
+        src = str(Path(mixlap.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(proc.stdout) == []
 
 
 class TestReports:

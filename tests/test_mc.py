@@ -1,5 +1,6 @@
 """Monte-Carlo sampler: convention gating, determinism, density comparison."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,28 @@ def _concatenating_sampler(t, params, count, seed, mode):
     return np.concatenate(chunks, axis=0)
 
 
+def _serial_char_function(points, xis):
+    """The characteristic-function block loop before threading.
+
+    Kept as the oracle that the threaded check adds the same block sums in the
+    same order.
+    """
+    shift = None
+    total = squares = 0.0
+    for start in range(0, len(points), mc._BLOCK):
+        re = 2.0 * np.pi * points[start:start + mc._BLOCK] @ xis.T
+        np.cos(re, out=re)
+        if shift is None:
+            shift = re.mean(axis=0)
+        re -= shift
+        total += re.sum(axis=0)
+        re *= re
+        squares += re.sum(axis=0)
+    count = len(points)
+    var = (squares - total * total / count) / (count - 1)
+    return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
+
+
 def _full_array_char_function(points, xis):
     """Mean and ddof=1 standard error of the cosines over all rows at once."""
     re = np.cos(2.0 * np.pi * points @ xis.T)
@@ -218,3 +241,70 @@ class TestStreaming:
 
     def test_density_memory_is_one_block(self, batch_1m):
         assert _peak_bytes(mc.compare_density, batch_1m, [0.5, 1.0, 1.5]) < 8e6
+
+
+# three sub-batches, the last partial, and nine blocks, the last partial
+MULTI_BLOCK_COUNT = 2 * mc._SUB_BATCH + 123
+DENSITY_EDGES = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10), [200.0, 201.0]))
+
+
+def _with_workers(monkeypatch, workers, fn, *args):
+    monkeypatch.setattr(mc, "worker_count", lambda: workers)
+    return fn(*args)
+
+
+def _shell_counts(report):
+    rows = sorted(report["shells"] + report["excluded"], key=lambda row: row["r_lo"])
+    return [row["count"] for row in rows]
+
+
+class TestWorkers:
+    """Results do not depend on how many threads the oracle uses."""
+
+    def test_worker_count_is_one_or_two(self):
+        assert mc.worker_count() in (1, 2)
+
+    @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
+    def test_points_bitwise_equal_across_worker_counts(self, monkeypatch, mode):
+        one, two = (_with_workers(monkeypatch, w, mc.sample_mixed, 0.7, P3,
+                                  MULTI_BLOCK_COUNT, 31, mode).points for w in (1, 2))
+        assert one.tobytes() == two.tobytes()
+        assert one.tobytes() == _concatenating_sampler(0.7, P3, MULTI_BLOCK_COUNT, 31,
+                                                       mode).tobytes()
+
+    def test_char_function_bitwise_equal_to_serial_loop(self, monkeypatch):
+        batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
+        xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
+        want_vals, want_ses = _serial_char_function(batch.points, xis)
+        for workers in (1, 2):
+            vals, ses = _with_workers(monkeypatch, workers, mc.empirical_char_function,
+                                      batch, xis)
+            assert np.array_equal(vals, want_vals)
+            assert np.array_equal(ses, want_ses)
+
+    def test_density_counts_equal_across_worker_counts(self, monkeypatch):
+        batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
+        one, two = (_shell_counts(_with_workers(monkeypatch, w, mc.compare_density,
+                                                batch, DENSITY_EDGES))
+                    for w in (1, 2))
+        assert one == two
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # a thread switch every 10 us interleaves the workers' Python steps
+        xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
+
+        def run(workers):
+            batch = _with_workers(monkeypatch, workers, mc.sample_mixed, 1.0, P3,
+                                  MULTI_BLOCK_COUNT, 23)
+            return (batch.points.tobytes(),
+                    mc.empirical_char_function(batch, xis)[0].tobytes(),
+                    _shell_counts(mc.compare_density(batch, DENSITY_EDGES)))
+
+        want = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = run(4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
