@@ -2,8 +2,10 @@
 
 Checks positivity, radial symmetry and the two-sided power decay with
 exponent n + 2s on solver output, and constructs the sub/supersolution
-barriers (convolutions of Bessel-type kernels with a ball indicator) whose
-tails bracket the solution's decay.
+barriers whose tails bracket the solution's decay.  A barrier is a
+Bessel-type kernel K_a convolved with the indicator of the ball of radius
+1/2; each of its values is one Hankel transform
+(``kernels.bessel_kernel_ball``).
 """
 
 import json
@@ -13,10 +15,10 @@ import numpy as np
 
 from .errors import MixlapError
 from .fileio import atomic_write
-from .kernels import RadialProfile, tabulate_kernel
+# tabulate_kernel is unused here, but the benchmark's span tracer wraps it
+# under this module's name
+from .kernels import RadialProfile, bessel_kernel_ball, tabulate_kernel  # noqa: F401
 from .params import DEFAULT_QUAD, KernelParams
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
 
 
 def peak_index(u):
@@ -169,59 +171,15 @@ def decay_fit(profile, window, params=None):
 # barrier constructions: kernel * indicator of the ball of radius 1/2
 
 
-def _sphere_ball_overlap(u, r, rho, n):
-    """(n-1)-measure of the sphere of radius u about x, |x| = r, inside B_rho(0).
-
-    Vectorized over ``u``.  For n = 2 this is an arc length, for n = 3 a
-    spherical-cap area; the formulas come from the law of cosines applied
-    to the triangle (0, x, point on sphere).
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    full = 2.0 * np.pi * u if n == 2 else 4.0 * np.pi * u ** 2
-    inside = u <= rho - r  # whole sphere inside the ball (only if r < rho)
-    out[inside] = full[inside]
-    partial = (~inside) & (u > abs(r - rho)) & (u < r + rho)
-    up = u[partial]
-    cos_t = (up ** 2 + r ** 2 - rho ** 2) / (2.0 * up * r)
-    cos_t = np.clip(cos_t, -1.0, 1.0)
-    if n == 2:
-        out[partial] = 2.0 * up * np.arccos(cos_t)
-    else:
-        out[partial] = 2.0 * np.pi * up ** 2 * (1.0 - cos_t)
-    return out
-
-
-def _kernel_interpolant(label, params, quad, r_lo, r_hi, extra=None, n_tab=400):
-    """Log-log cubic spline through a tabulated kernel profile."""
-    from scipy import interpolate
-
-    grid = np.geomspace(r_lo, r_hi, n_tab)
-    prof = tabulate_kernel(label, grid, params, quad, **(extra or {}))
-    spline = interpolate.CubicSpline(np.log(prof.radii), np.log(prof.values))
-    return lambda r: np.exp(spline(np.log(r)))
-
-
-def _barrier_profile(label, params, quad, radii, extra=None, n_tab=400):
+def _barrier_profile(a, params, quad, radii, label):
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 1.0):
         raise ValueError("barrier radii must exceed 1")
-    rho = 0.5
-    kern = _kernel_interpolant(
-        label, params, quad, max(radii.min() - rho, 1e-3) * 0.9,
-        (radii.max() + rho) * 1.05, extra=extra, n_tab=n_tab,
-    )
-    vals = np.empty_like(radii)
-    for i, r in enumerate(radii):
-        lo, hi = r - rho, r + rho
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * _GL_X
-        w = half * _GL_W
-        vals[i] = np.sum(w * kern(u) * _sphere_ball_overlap(u, r, rho, params.n))
-    return RadialProfile(radii=radii, values=vals, params=params, label=label + "-barrier")
+    vals = np.array([bessel_kernel_ball(r, a, params, quad) for r in radii])
+    return RadialProfile(radii=radii, values=vals, params=params, label=label)
 
 
-def barrier_subsolution(params, quad=DEFAULT_QUAD, radii=None, n_tab=400):
+def barrier_subsolution(params, quad=DEFAULT_QUAD, radii=None):
     """Subsolution barrier: Bessel kernel convolved with the ball indicator.
 
     The tail satisfies value * r^{n+2s} >= c_1 > 0; the empirical c_1 is
@@ -229,16 +187,14 @@ def barrier_subsolution(params, quad=DEFAULT_QUAD, radii=None, n_tab=400):
     """
     if radii is None:
         radii = np.geomspace(2.0, 50.0, 25)
-    return _barrier_profile("bessel", params, quad, radii, n_tab=n_tab)
+    return _barrier_profile(1.0, params, quad, radii, "bessel-barrier")
 
 
-def barrier_supersolution(params, quad=DEFAULT_QUAD, radii=None, n_tab=400):
+def barrier_supersolution(params, quad=DEFAULT_QUAD, radii=None):
     """Supersolution barrier: the a = 1/2 shifted kernel convolved with the ball."""
     if radii is None:
         radii = np.geomspace(2.0, 50.0, 25)
-    return _barrier_profile(
-        "bessel-shifted", params, quad, radii, extra={"a": 0.5}, n_tab=n_tab
-    )
+    return _barrier_profile(0.5, params, quad, radii, "bessel-shifted-barrier")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ block the partial sums are tested: plain summation stops once the envelope
 has killed the tail, and otherwise Wynn's epsilon algorithm extrapolates the
 last 40 sums and stops once its error estimate meets the tolerance and
 agrees with the previous block's extrapolation to that same tolerance.
-``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition;
+``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition,
+and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
 a sum that has not converged by then raises ``AccuracyError``, as does a
 head or block whose envelope would need more than ``_MAX_PANELS`` panels.
 """
@@ -33,9 +34,9 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _HEAD_LEVELS = 30  # dyadic grading depth toward r = 0
 _BLOCK = 16  # zero intervals integrated between two convergence tests
 # Most panels one _panelize call may build.  A value peaks at about 1 kB of
-# memory per panel; the largest known to finish, the heat kernel at t = 5,
-# s = 0.1, |x| = 0.01, builds 156,280 head panels and a first block of
-# 1,562,500 (1.6 GB).
+# memory per panel, so this keeps one call near 2 GB.  The largest piece the
+# test suite builds, the heat kernel's head at t = 5, s = 0.1, |x| = 0.01, cut
+# at r_max = 3.46, has 21,681 panels.
 _MAX_PANELS = 2_000_000
 
 
@@ -190,13 +191,18 @@ def radial_inverse_fourier(
     pref = 2.0 * np.pi * x_norm ** (1.0 - n / 2.0)
     w_cap = np.inf if envelope_scale is None else max(envelope_scale / 2.0, 1e-8)
 
+    def integrand(r):
+        return symbol(r) * r ** (n / 2.0) * bessel_j(nu, a * r)
+
     zeros = _cached_zeros(float(nu), int(quad.max_zeros)) / a
+    if r_max is not None and r_max < zeros[0]:
+        # the symbol is negligible past r_max, before the first zero: the
+        # graded head on [0, r_max] is the whole integral
+        h_lo, h_hi = _graded_head(r_max, w_cap, envelope_rel)
+        return pref * _gl_integrate(integrand, h_lo, h_hi).sum()
     if r_max is not None and zeros[-1] > r_max:
         keep = max(6, int(np.searchsorted(zeros, r_max)) + 1)
         zeros = zeros[: min(keep, len(zeros))]
-
-    def integrand(r):
-        return symbol(r) * r ** (n / 2.0) * bessel_j(nu, a * r)
 
     # head: [0, first zero], graded toward the origin
     h_lo, h_hi = _graded_head(zeros[0], w_cap, envelope_rel)

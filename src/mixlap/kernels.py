@@ -24,7 +24,7 @@ import numpy as np
 from .fileio import atomic_write
 from .inversion import radial_inverse_fourier, radial_symbol_integral
 from .params import DEFAULT_QUAD, KernelParams
-from .special import gamma
+from .special import bessel_j, gamma
 
 UNITARY_RADIUS_SCALE = 2.0 * np.pi  # unitary-frequency radius R = 2 pi |x|
 
@@ -203,9 +203,26 @@ def resolvent_multiplier_kernel(x_norm, params, quad=DEFAULT_QUAD):
 
     if x_norm <= 0:
         raise ValueError("x_norm must be positive")
-    return radial_inverse_fourier(
-        symbol, x_norm, params.n, quad, envelope_scale=0.5, envelope_rel=0.5
-    )
+    return _rational_kernel(symbol, x_norm, params, quad)
+
+
+def bessel_kernel_ball(x_norm, a, params, quad=DEFAULT_QUAD):
+    """(K_a * 1_{B_rho})(|x|), rho = 1/2: the shifted Bessel kernel on a ball.
+
+    The indicator of B_rho transforms to rho^{n/2} r^{-n/2} J_{n/2}(2 pi rho r),
+    so the convolution is the inverse transform of that times the shifted
+    Bessel symbol 1 / (a + r^2 + r^{2s}).
+    """
+    if a <= 0:
+        raise ValueError("shift a must be positive")
+    n, s = params.n, params.s
+    rho = 0.5
+
+    def symbol(r):
+        ball = rho ** (n / 2.0) * r ** (-n / 2.0) * bessel_j(n / 2.0, 2.0 * np.pi * rho * r)
+        return ball / (a + r * r + r ** (2.0 * s))
+
+    return _rational_kernel(symbol, x_norm, params, quad)
 
 
 def bessel_kernel_time_integral(x_norm, params, quad=DEFAULT_QUAD):

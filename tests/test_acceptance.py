@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mixlap.params import KernelParams
+from mixlap.params import KernelParams, QuadratureSpec
 from mixlap import analysis as A
 from mixlap import kernels as K
 from mixlap import mc
@@ -274,12 +274,13 @@ def test_criterion_11_barriers():
     t0 = time.time()
     radii = np.geomspace(2.0, 50.0, 25)
     pw = P2.n + 2.0 * P2.s
-    sub = A.barrier_subsolution(P2, radii=radii, n_tab=400)
-    sup = A.barrier_supersolution(P2, radii=radii, n_tab=400)
+    sub = A.barrier_subsolution(P2, radii=radii)
+    sup = A.barrier_supersolution(P2, radii=radii)
     c1 = float((sub.values * sub.radii ** pw).min())
     c2 = float((sup.values * sup.radii ** pw).max())
-    sub_f = A.barrier_subsolution(P2, radii=radii, n_tab=800)
-    sup_f = A.barrier_supersolution(P2, radii=radii, n_tab=800)
+    fine = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_zeros=800)
+    sub_f = A.barrier_subsolution(P2, fine, radii=radii)
+    sup_f = A.barrier_supersolution(P2, fine, radii=radii)
     c1_f = float((sub_f.values * sub_f.radii ** pw).min())
     c2_f = float((sup_f.values * sup_f.radii ** pw).max())
     stable = abs(c1_f - c1) / c1 < 0.05 and abs(c2_f - c2) / c2 < 0.05

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mixlap.errors import MixlapError
+from mixlap.inversion import sphere_surface_area
 from mixlap.kernels import RadialProfile, bessel_kernel, bessel_kernel_shifted
-from mixlap.params import KernelParams
+from mixlap.params import KernelParams, QuadratureSpec
+from mixlap.special import gamma
 from mixlap import analysis as A
 from mixlap import spectral as S
 
@@ -125,14 +128,34 @@ class TestBarriers:
         comp = prof.values * prof.radii ** 3.0
         assert np.isfinite(comp.max())
 
-    def test_monotonicity_envelopes(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monotonicity_envelopes(self, n):
         # vol(B_1/2) K(r + 1/2) <= barrier(r) <= vol(B_1/2) K(r - 1/2)
+        params = KernelParams(n, 0.5)
         radii = np.array([2.0, 5.0, 12.0, 30.0])
-        prof = A.barrier_subsolution(P2, radii=radii)
-        vol = np.pi * 0.25
+        prof = A.barrier_subsolution(params, radii=radii)
+        vol = np.pi ** (n / 2.0) * 0.5 ** n / gamma(n / 2.0 + 1.0)
         for r, v in zip(radii, prof.values):
-            assert v <= vol * bessel_kernel(r - 0.5, P2) * (1 + 1e-6)
-            assert v >= vol * bessel_kernel(r + 0.5, P2) * (1 - 1e-6)
+            assert v <= vol * bessel_kernel(r - 0.5, params) * (1 + 1e-6)
+            assert v >= vol * bessel_kernel(r + 0.5, params) * (1 - 1e-6)
+
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_convolution_matches_a_spatial_double_integral(self, n, a):
+        # |S^{n-2}| int_0^rho int_0^pi K_a(|x - y|) q^{n-1} sin^{n-2}(theta)
+        # dtheta dq, with |y| = q and theta the angle between x and y; this
+        # integrates kernel values in space and never transforms the ball
+        params, x, rho = KernelParams(n, 0.5), 10.0, 0.5
+        oracle, _ = integrate.dblquad(
+            lambda theta, q: bessel_kernel_shifted(
+                np.sqrt(x * x + q * q - 2.0 * x * q * np.cos(theta)), a, params)
+            * q ** (n - 1) * np.sin(theta) ** (n - 2),
+            0.0, rho, 0.0, np.pi, epsrel=1e-10,
+        )
+        oracle *= sphere_surface_area(n - 1)  # 2 for n = 2, the two points of S^0
+        barrier = A.barrier_subsolution if a == 1.0 else A.barrier_supersolution
+        got = barrier(params, radii=np.array([x])).values[0]
+        assert got == pytest.approx(oracle, rel=1e-9, abs=0)
 
     def test_supersolution_envelope(self):
         radii = np.array([2.0, 8.0, 25.0])
@@ -142,8 +165,9 @@ class TestBarriers:
             assert v >= vol * bessel_kernel_shifted(r + 0.5, 0.5, P2) * (1 - 1e-6)
 
     def test_refinement_stability(self):
-        coarse = A.barrier_subsolution(P2, n_tab=200)
-        fine = A.barrier_subsolution(P2, n_tab=400)
+        coarse = A.barrier_subsolution(P2)
+        fine = A.barrier_subsolution(P2, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14,
+                                                        max_zeros=800))
         c_coarse = (coarse.values * coarse.radii ** 3.0).min()
         c_fine = (fine.values * fine.radii ** 3.0).min()
         assert abs(c_fine - c_coarse) / c_fine < 0.05

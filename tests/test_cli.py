@@ -254,7 +254,8 @@ class TestMcValidate:
 
 class TestImport:
     def test_cli_leaves_the_unused_scipy_subpackages_unimported(self):
-        # only cross-checks, n >= 5 Bessel zeros and barriers use them
+        # only cross-checks and n >= 5 Bessel zeros use integrate and optimize;
+        # nothing in the package imports interpolate
         code = ("import json, sys, mixlap.cli; print(json.dumps([m for m in "
                 "('scipy.integrate', 'scipy.optimize', 'scipy.interpolate') "
                 "if m in sys.modules]))")

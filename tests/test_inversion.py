@@ -81,9 +81,31 @@ class TestEngineContracts:
                                    r_max=12.0)
         assert a == pytest.approx(b, rel=1e-9)
 
+    def test_r_max_before_the_first_zero_ends_the_partition(self, monkeypatch):
+        # r_max = 3.46 lies before the first zero at 25, so the graded head on
+        # [0, r_max] is the whole integral; building the head on [0, 25] and
+        # six zero intervals after it took 1,718,780 panels
+        panels = []
+        panelize = inversion._panelize
+
+        def counting(breaks, w_cap, w_rel=0.0):
+            lo, hi = panelize(breaks, w_cap, w_rel)
+            panels.append(len(lo))
+            return lo, hi
+
+        monkeypatch.setattr(inversion, "_panelize", counting)
+        got = kernels.heat_kernel(0.01, 5.0, KernelParams(1, 0.1))
+        assert sum(panels) < 50_000
+        # n = 1: H(x, t) = 2 int_0^inf e^{-t(r^{2s} + r^2)} cos(2 pi x r) dr
+        ref, _ = integrate.quad(
+            lambda r: 2.0 * np.exp(-5.0 * (r ** 0.2 + r * r)) * np.cos(0.02 * np.pi * r),
+            0.0, np.inf, epsabs=1e-16, epsrel=1e-13, limit=400,
+        )
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_too_many_panels_is_an_accuracy_error(self):
-        # envelope scale 20^-10 over the head [0, 25]: 2.5e9 panels, a 16.5 GiB
-        # array, refused before any panel array is built
+        # envelope scale 20^-10 over the head [0, r_max = 1.73]: 1.7e8 panels,
+        # 1.3 GiB for each panel array, refused before any is built
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError, match="quadrature panels"):
