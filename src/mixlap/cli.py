@@ -3,8 +3,9 @@
 Subcommands: kernel-tab, kernel-verify, solve, analyze, mc-validate,
 asymptotics.  Every run writes a manifest JSON recording the command, the
 fully resolved configuration, library versions, wall time and the pass/fail
-summary.  Exit codes: 0 all checks passed, 1 a verification failed,
-2 usage/config error, 3 numerical non-convergence.
+summary; mc-validate's adds its stage timings (``stages``).  Exit codes:
+0 all checks passed, 1 a verification failed, 2 usage/config error,
+3 numerical non-convergence.
 
 Defaults may be supplied through a ``key = value`` config file (``#``
 comments allowed) named with ``--config``; explicit command-line flags win
@@ -100,7 +101,7 @@ def _quad_from(args):
     return QuadratureSpec(**_given(args, "rel_tol", "abs_tol", "max_zeros"))
 
 
-def _write_manifest(outdir, command, config, passed, t_start):
+def _write_manifest(outdir, command, config, passed, t_start, stages=None):
     manifest = {
         "command": command,
         "config": config,
@@ -112,6 +113,8 @@ def _write_manifest(outdir, command, config, passed, t_start):
         "wall_time_s": time.time() - t_start,
         "pass": bool(passed),
     }
+    if stages is not None:
+        manifest["stages"] = stages
     atomic_write(os.path.join(outdir, "manifest.json"), json.dumps(manifest, indent=2))
     return manifest
 
@@ -126,7 +129,8 @@ def _fft_workers(threads):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns (exit code, resolved config, pass)
+# subcommand implementations; each returns (exit code, resolved config, pass),
+# and mc-validate also its stage timings
 
 
 def _cmd_kernel_tab(args):
@@ -270,20 +274,18 @@ def _cmd_mc_validate(args):
     params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
     t, count, seed, outdir = args.t, args.count, args.seed, args.output_dir
-    batch = mc.sample_mixed(t, params, count, seed)
-
     rng = np.random.default_rng(seed + 1)
     xis = rng.uniform(-1.0, 1.0, (5, params.n))
-    char_rep = mc.validate_char_function(batch, xis)
     edges = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10)))
-    dens_rep = mc.compare_density(batch, edges, quad)
+    char_rep, dens_rep, timings = mc.stream_checks(t, params, count, seed, xis, edges,
+                                                   quad)
     os.makedirs(outdir, exist_ok=True)
     mc.write_report(os.path.join(outdir, "mc-char.json"), char_rep)
     mc.write_report(os.path.join(outdir, "mc-density.json"), dens_rep)
     passed = char_rep["pass"] and dens_rep["pass"]
     config = {"n": params.n, "s": params.s, "t": t, "count": count, "seed": seed,
               "workers": mc.worker_count()}
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed, timings
 
 
 def _cmd_asymptotics(args):
@@ -401,7 +403,7 @@ def main(argv=None):
     t_start = time.time()
     try:
         args = _parse(argv)
-        code, config, passed = args.run(args)
+        code, config, passed, *stages = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -411,7 +413,7 @@ def main(argv=None):
     except MixlapError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    _write_manifest(args.output_dir, args.command, config, passed, t_start)
+    _write_manifest(args.output_dir, args.command, config, passed, t_start, *stages)
     status = "PASS" if passed else "FAIL"
     print(f"{args.command}: {status} (exit {code})")
     return code

@@ -19,26 +19,36 @@ from which all sampler constants follow:
   c = t (2 pi)^{-2s}, this equals exp(-c |theta|^{2s}) = exp(-t |xi|^{2s})
   at theta = 2 pi xi.
 
-Memory: a batch is one ``(count, n)`` points array.  The sampler draws each
-sub-batch straight into its rows, with three sub-batch-long vectors and one
-small buffer of Gaussian rows as temporaries, and the characteristic-function
-and shell-density checks walk those rows in blocks, so nothing else a check
-allocates grows with ``count``.
+Memory: a stored batch (``sample_mixed``) is one ``(count, n)`` points array.
+The sampler draws each sub-batch straight into its rows, with three
+sub-batch-long vectors and one small buffer of Gaussian rows as temporaries,
+and the characteristic-function and shell-density checks walk those rows in
+blocks, so nothing else a check allocates grows with ``count``.
+``stream_checks`` runs both checks without that array: each sub-batch is drawn
+into its own rows, reduced block by block into the cosine sums and shell
+counts, and dropped, so its memory is that of the sub-batches in flight
+(about 13 MB at n = 3 with two workers, against 24 MB of points at 10^6
+samples).  Both paths feed the same block statistics and report builders.
 
 Threads: the sub-batches and the checks' blocks are independent units of work,
 mapped over ``worker_count()`` threads (at most two; numpy releases the GIL in
 this work).  A sub-batch draws from its own spawned generator into its own
 rows, and the blocks' partial sums are added in block order, so every result
 is bitwise the same whatever the worker count.  At most two units, and so two
-units' temporaries, are in flight at a time.
+units' temporaries, are in flight at a time.  The heat-kernel values of the
+density check run on the calling thread: in ``stream_checks`` while a worker
+draws sub-batch 0, whose first block fixes the cosine shift the other
+sub-batches need.
 
 Input: ``t`` must be finite and positive and ``count`` at least 1, or
 ``sample_mixed`` raises ``ValueError``; the characteristic-function check
-needs ``count >= 2`` for its ``ddof=1`` standard error.
+needs ``count >= 2`` for its ``ddof=1`` standard error.  ``stream_checks``
+raises these errors before it draws anything.
 """
 
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -146,6 +156,15 @@ def _sample_chunk(t, params, out, rng, mode):
                 out[start:stop] += piece
 
 
+def _check_sampling(t, count, mode):
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if mode not in ("mixed", "gaussian", "stable"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def sample_mixed(t, params, count, seed, mode="mixed"):
     """Sample ``count`` draws of X(t); deterministic in (seed, parameters).
 
@@ -156,12 +175,7 @@ def sample_mixed(t, params, count, seed, mode="mixed"):
     work is distributed over threads.  Each sub-batch is drawn straight into
     its rows of the one ``(count, n)`` points array.
     """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    if mode not in ("mixed", "gaussian", "stable"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_sampling(t, count, mode)
     points = np.empty((count, params.n))
     starts = range(0, count, _SUB_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(starts))
@@ -181,55 +195,78 @@ def _blocks(points):
     return [points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK)]
 
 
-def empirical_char_function(batch, xis):
-    """Empirical E exp(2 pi i xi . X) with per-frequency standard errors.
+# -- block statistics, fed by a stored batch or by the streamed sub-batches
 
-    Returns (values, standard_errors); by symmetry of the law the imaginary
-    part is pure noise and the real part carries the symbol.  The cosines are
-    formed one block of rows at a time and summed, with their squares, after
-    subtracting the first block's mean, so the sum of squares does not cancel
-    when the spread is small against the mean.  The blocks' sums are added in
-    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
-    """
-    if batch.count < 2:
-        raise ValueError(f"a standard error needs count >= 2, got count {batch.count}")
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
 
-    def cosines(block):
-        re = 2.0 * np.pi * block @ xis.T
-        return np.cos(re, out=re)
+def _cosine_sums(block, xis, shift):
+    """(shift, sum, sum of squares) of the block's cosines cos(2 pi xi . x) less
+    ``shift``; a ``shift`` of None is taken as the block's own cosine mean."""
+    re = 2.0 * np.pi * block @ xis.T
+    np.cos(re, out=re)
+    if shift is None:
+        shift = re.mean(axis=0)
+    re -= shift
+    total = re.sum(axis=0)
+    re *= re
+    return shift, total, re.sum(axis=0)
 
-    def sums(re):
-        re -= shift
-        total = re.sum(axis=0)
-        re *= re
-        return total, re.sum(axis=0)
 
-    blocks = _blocks(batch.points)
-    first = cosines(blocks[0])
-    shift = first.mean(axis=0)
-    parts = [sums(first)]
-    del first  # so that no later block's phases coexist with these
-    parts += _map(lambda block: sums(cosines(block)), blocks[1:])
+def _shell_counts(block, edges):
+    return np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
+
+
+def _char_estimate(shift, parts, count):
+    """Mean and standard error from the blocks' (sum, sum of squares), added in
+    block order."""
     total = squares = 0.0
     for block_total, block_squares in parts:
         total += block_total
         squares += block_squares
-    count = batch.count
     var = (squares - total * total / count) / (count - 1)
     return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
 
 
-def validate_char_function(batch, xis, n_sigma=3.0):
-    """Check the defining Fourier identity at the given frequencies."""
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    vals, ses = empirical_char_function(batch, xis)
+def _check_char_count(count):
+    if count < 2:
+        raise ValueError(f"a standard error needs count >= 2, got count {count}")
+
+
+def _shell_edges(radii):
+    edges = np.asarray(radii, dtype=float)
+    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("radii must be increasing shell edges")
+    return edges
+
+
+def _shell_volumes(edges, n):
+    unit_ball = np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+    return unit_ball * (edges[1:] ** n - edges[:-1] ** n)
+
+
+def _shell_probabilities(edges, t, params, quad):
+    """Heat-kernel mass of each shell: an 8-node Gauss rule in the radius."""
+    n = params.n
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    probs = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid + half * gl_x
+        kern = np.array([heat_kernel(x, t, params, quad) for x in nodes])
+        probs.append(area * np.sum(half * gl_w * kern * nodes ** (n - 1)))
+    return probs
+
+
+# -- reports
+
+
+def _char_report(t, params, mode, xis, vals, ses, n_sigma):
     r = np.linalg.norm(xis, axis=1)
-    target = np.exp(-batch.t * (r ** 2 + r ** (2.0 * batch.params.s)))
-    if batch.mode == "gaussian":
-        target = np.exp(-batch.t * r ** 2)
-    elif batch.mode == "stable":
-        target = np.exp(-batch.t * r ** (2.0 * batch.params.s))
+    target = np.exp(-t * (r ** 2 + r ** (2.0 * params.s)))
+    if mode == "gaussian":
+        target = np.exp(-t * r ** 2)
+    elif mode == "stable":
+        target = np.exp(-t * r ** (2.0 * params.s))
     rows = [
         {
             "xi": list(map(float, xi)),
@@ -242,51 +279,23 @@ def validate_char_function(batch, xis, n_sigma=3.0):
     ]
     return {
         "check": "characteristic-function",
-        "mode": batch.mode,
+        "mode": mode,
         "n_sigma": n_sigma,
         "frequencies": rows,
         "pass": bool(all(row["sigmas"] <= n_sigma for row in rows)),
     }
 
 
-def _shell_volumes(edges, n):
-    unit_ball = np.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
-    return unit_ball * (edges[1:] ** n - edges[:-1] ** n)
-
-
-def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
-    """Shell-histogram densities versus quadrature heat-kernel values.
-
-    ``radii`` are the shell edges.  Each shell's empirical density
-    (count / (total * shell volume)) is compared with the kernel averaged
-    over the shell; shells whose expected count is below 50 are excluded
-    and flagged.  PASS iff all retained shells agree within ``n_sigma``
-    combined standard errors.  Shell counts are taken block by block.
-    """
-    edges = np.asarray(radii, dtype=float)
-    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("radii must be increasing shell edges")
-    n = batch.params.n
-
-    def shell_counts(block):
-        return np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
-
-    counts = np.sum(_map(shell_counts, _blocks(batch.points)), axis=0)
+def _density_report(edges, counts, probs, t, n, count, seed, n_sigma):
     vols = _shell_volumes(edges, n)
-
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     shells = []
     excluded = []
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid + half * gl_x
-        kern = np.array([heat_kernel(x, batch.t, batch.params, quad) for x in nodes])
-        prob = area * np.sum(half * gl_w * kern * nodes ** (n - 1))
-        expected_count = prob * batch.count
+        prob = probs[i]
+        expected_count = prob * count
         density_pred = prob / vols[i]
-        density_obs = counts[i] / (batch.count * vols[i])
-        se = np.sqrt(max(prob * (1.0 - prob), 1e-300) / batch.count) / vols[i]
+        density_obs = counts[i] / (count * vols[i])
+        se = np.sqrt(max(prob * (1.0 - prob), 1e-300) / count) / vols[i]
         row = {
             "r_lo": float(lo),
             "r_hi": float(hi),
@@ -304,14 +313,115 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
             shells.append(row)
     return {
         "check": "shell-density",
-        "t": batch.t,
-        "count": batch.count,
-        "seed": batch.seed,
+        "t": t,
+        "count": count,
+        "seed": seed,
         "n_sigma": n_sigma,
         "shells": shells,
         "excluded": excluded,
         "pass": bool(shells) and all(s["sigmas"] <= n_sigma for s in shells),
     }
+
+
+# -- the checks of a stored batch
+
+
+def empirical_char_function(batch, xis):
+    """Empirical E exp(2 pi i xi . X) with per-frequency standard errors.
+
+    Returns (values, standard_errors); by symmetry of the law the imaginary
+    part is pure noise and the real part carries the symbol.  The cosines are
+    formed one block of rows at a time and summed, with their squares, after
+    subtracting the first block's mean, so the sum of squares does not cancel
+    when the spread is small against the mean.  The blocks' sums are added in
+    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
+    """
+    _check_char_count(batch.count)
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    blocks = _blocks(batch.points)
+    shift, *first = _cosine_sums(blocks[0], xis, None)
+    parts = [first] + _map(lambda block: _cosine_sums(block, xis, shift)[1:],
+                           blocks[1:])
+    return _char_estimate(shift, parts, batch.count)
+
+
+def validate_char_function(batch, xis, n_sigma=3.0):
+    """Check the defining Fourier identity at the given frequencies."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    vals, ses = empirical_char_function(batch, xis)
+    return _char_report(batch.t, batch.params, batch.mode, xis, vals, ses, n_sigma)
+
+
+def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
+    """Shell-histogram densities versus quadrature heat-kernel values.
+
+    ``radii`` are the shell edges.  Each shell's empirical density
+    (count / (total * shell volume)) is compared with the kernel averaged
+    over the shell; shells whose expected count is below 50 are excluded
+    and flagged.  PASS iff all retained shells agree within ``n_sigma``
+    combined standard errors.  Shell counts are taken block by block.
+    """
+    edges = _shell_edges(radii)
+    counts = np.sum(_map(lambda block: _shell_counts(block, edges),
+                         _blocks(batch.points)), axis=0)
+    probs = _shell_probabilities(edges, batch.t, batch.params, quad)
+    return _density_report(edges, counts, probs, batch.t, batch.params.n,
+                           batch.count, batch.seed, n_sigma)
+
+
+# -- both checks in one streamed pass
+
+
+def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD,
+                  n_sigma=3.0):
+    """Both checks of ``sample_mixed(t, params, count, seed)`` with no points array.
+
+    Returns ``(char_report, density_report, timings)``, the reports equal to
+    ``validate_char_function`` and ``compare_density`` of that batch.  Each
+    pool worker draws one sub-batch with its spawned generator, reduces it
+    block by block into the cosine sums and the shell counts, and drops it.
+    Sub-batch 0 is drawn alone, while the calling thread computes the shell
+    probabilities, because its first block fixes the cosine shift; the other
+    sub-batches follow on all workers.  The heat-kernel values stay on the
+    calling thread.  ``timings`` holds the seconds of that quadrature, the
+    seconds of the whole pass and the samples drawn per second of it.
+    """
+    _check_sampling(t, count, "mixed")
+    _check_char_count(count)
+    edges = _shell_edges(radii)
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    starts = range(0, count, _SUB_BATCH)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def draw_and_reduce(start, child, shift):
+        rows = np.empty((min(_SUB_BATCH, count - start), params.n))
+        _sample_chunk(t, params, rows, np.random.default_rng(child), "mixed")
+        parts = []
+        counts = 0
+        for block in _blocks(rows):
+            shift, total, squares = _cosine_sums(block, xis, shift)
+            parts.append((total, squares))
+            counts = counts + _shell_counts(block, edges)
+        return shift, parts, counts
+
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(worker_count()) as pool:
+        first = pool.submit(draw_and_reduce, starts[0], children[0], None)
+        probs = _shell_probabilities(edges, t, params, quad)
+        quad_s = time.perf_counter() - t0
+        shift, parts, counts = first.result()
+        rest = zip(starts[1:], children[1:])
+        for _, more_parts, more_counts in pool.map(
+                lambda job: draw_and_reduce(*job, shift), rest):
+            parts += more_parts
+            counts = counts + more_counts
+    pass_s = time.perf_counter() - t0
+    vals, ses = _char_estimate(shift, parts, count)
+    char = _char_report(t, params, "mixed", xis, vals, ses, n_sigma)
+    density = _density_report(edges, counts, probs, t, params.n, count, seed, n_sigma)
+    timings = {"quadrature_s": quad_s, "pass_s": pass_s,
+               "samples_per_s": count / pass_s}
+    return char, density, timings
 
 
 def write_report(path, report):

@@ -172,18 +172,20 @@ class Step(NamedTuple):
     num: float
 
 
-def petviashvili_step(u, params, cfg, up_p=None, num=None):
+def petviashvili_step(u, params, cfg, up_p=None, num=None, den=None):
     """One stabilized fixed-point step u -> m^gamma R[(u+)^p]; returns a Step.
 
     ``up_p`` and ``num`` are the ``up_p`` and ``num`` of the Step that returned
     ``u``; the step overwrites ``up_p``.  Without them it computes both from
-    ``u``, at the cost of one ``apply_operator``.
+    ``u``, at the cost of one ``apply_operator``.  ``den`` is the stabilizer
+    denominator <u, (u+)^p> where the caller has already formed it.
     """
     dv = u.grid.cell_volume
     if up_p is None:
         num = dv * _dot(u.data, apply_operator(u, params, include_identity=True).data)
         up_p = positive_part_power(u, cfg.p)
-    den = dv * _dot(u.data, up_p.data)
+    if den is None:
+        den = dv * _dot(u.data, up_p.data)
     if den <= 0.0:
         raise DegenerateIterateError(
             "stabilizer denominator <u, (u+)^p> is nonpositive: "
@@ -243,7 +245,7 @@ def _solve(grid, params, cfg, u0):
     thetas = []
     fallbacks = 0
     converged = False
-    up_p = num = None
+    up_p = num = den = None
     # the history: the previous image g_prev, its residual f_prev = g_prev - x
     # and their scalars |f_prev|^2 and a_prev = <g_prev, (1 + operator) g_prev>
     g_prev = f_prev = None
@@ -252,7 +254,8 @@ def _solve(grid, params, cfg, u0):
     for it in range(1, cfg.max_iter + 1):
         if g_prev is not None:
             cross = _dot(g_prev.data, up_p.data)  # before the step overwrites up_p
-        u, m_k, pointwise, up_p, a_k = petviashvili_step(x, params, cfg, up_p, num)
+        u, m_k, pointwise, up_p, a_k = petviashvili_step(x, params, cfg, up_p, num,
+                                                         den)
         stabilizers.append(m_k)
         residuals.append(pointwise)
         thetas.append(theta)
@@ -265,7 +268,7 @@ def _solve(grid, params, cfg, u0):
             if res <= cfg.tol_residual:
                 converged = True
                 break
-            x, num, theta = u.copy(), None, 0.0
+            x, num, den, theta = u.copy(), None, None, 0.0
             continue
 
         # x is the solver's own array, never a step's image: the residual
@@ -285,7 +288,8 @@ def _solve(grid, params, cfg, u0):
                 f_prev += u.data
                 x = RealField(grid, f_prev)
                 positive_part_power(x, cfg.p, out=up_p.data)
-                if _dot(x.data, up_p.data) > 0.0:
+                den = grid.cell_volume * _dot(x.data, up_p.data)
+                if den > 0.0:
                     # (1 + operator) u is m^gamma times the step input's
                     # (x+)^p, so the mixed input's numerator needs only
                     # a_k, b_k and a_prev
@@ -300,7 +304,7 @@ def _solve(grid, params, cfg, u0):
         if x is None:
             # the plain step, which also starts a new history from u
             theta = 0.0
-            x, num = u.copy(), a_k
+            x, num, den = u.copy(), a_k, None
         g_prev, f_prev, f_prev_sq, a_prev = u, f, f_sq, a_k
 
     if not converged:

@@ -234,6 +234,15 @@ class TestMcValidate:
         config = read_json(out / "manifest.json")["config"]
         assert config["workers"] == mc.worker_count()
 
+    def test_manifest_records_stage_timings(self, tmp_path):
+        out = tmp_path / "mc"
+        main(["mc-validate", "--n", "2", "--s", "0.5", "--count", "20000",
+              "--seed", "4", "--output-dir", str(out)])
+        stages = read_json(out / "manifest.json")["stages"]
+        assert set(stages) == {"quadrature_s", "pass_s", "samples_per_s"}
+        assert stages["pass_s"] >= stages["quadrature_s"] > 0
+        assert stages["samples_per_s"] == pytest.approx(20000 / stages["pass_s"])
+
     @pytest.mark.parametrize("args, message", [
         pytest.param(["--count", "0"], "count must be at least 1, got 0", id="count-0"),
         pytest.param(["--count", "1"], "count >= 2, got count 1", id="count-1"),

@@ -308,3 +308,56 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+
+MC_EDGES = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10)))  # mc-validate's
+
+
+def _stored_checks(t, params, count, seed, xis, edges):
+    """Both checks of the stored batch: the oracle of the streamed pass."""
+    batch = mc.sample_mixed(t, params, count, seed)
+    return mc.validate_char_function(batch, xis), mc.compare_density(batch, edges)
+
+
+class TestStreamedPass:
+    """``stream_checks`` reports what the checks of the stored batch report."""
+
+    @pytest.mark.parametrize("params", [P2, P3], ids=["n2-s0.5", "n3-s0.25"])
+    @pytest.mark.parametrize("count", [1000, mc._SUB_BATCH + 123,
+                                       3 * mc._SUB_BATCH + 5, 10 ** 6])
+    def test_reports_equal_stored_batch_checks(self, params, count):
+        xis = np.random.default_rng(8).uniform(-1.0, 1.0, (5, params.n))
+        char, density, timings = mc.stream_checks(1.0, params, count, 4, xis, MC_EDGES)
+        assert (char, density) == _stored_checks(1.0, params, count, 4, xis, MC_EDGES)
+        assert timings["pass_s"] >= timings["quadrature_s"] > 0
+        assert timings["samples_per_s"] == count / timings["pass_s"]
+
+    def test_reports_equal_across_worker_counts(self, monkeypatch):
+        xis = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 3))
+        one, two = (_with_workers(monkeypatch, w, mc.stream_checks, 0.7, P3,
+                                  MULTI_BLOCK_COUNT, 31, xis, DENSITY_EDGES)[:2]
+                    for w in (1, 2))
+        assert one == two
+        assert one == _stored_checks(0.7, P3, MULTI_BLOCK_COUNT, 31, xis, DENSITY_EDGES)
+
+    def test_memory_holds_no_points_array(self):
+        # the stored batch's points alone take 24 MB here
+        xis = np.random.default_rng(20).uniform(-1.0, 1.0, (5, 3))
+        assert _peak_bytes(mc.stream_checks, 1.0, P3, 10 ** 6, 19, xis, MC_EDGES) < 16e6
+
+    @pytest.mark.parametrize("t, count, message", [
+        (1.0, 0, "count must be at least 1, got 0"),
+        (1.0, 1, "a standard error needs count >= 2, got count 1"),
+        (np.nan, 1000, "t must be finite and positive, got nan"),
+        (np.inf, 1000, "t must be finite and positive, got inf"),
+        (0.0, 1000, "t must be finite and positive, got 0.0"),
+        (-1.0, 1000, "t must be finite and positive, got -1.0"),
+    ])
+    def test_bad_input_raises_before_any_draw(self, monkeypatch, t, count, message):
+        def refuse(*args):
+            raise AssertionError("drew samples or kernel values")
+
+        monkeypatch.setattr(mc, "_sample_chunk", refuse)
+        monkeypatch.setattr(mc, "heat_kernel", refuse)
+        with pytest.raises(ValueError, match=message):
+            mc.stream_checks(t, P2, count, 0, [[0.3, 0.1]], MC_EDGES)

@@ -7,10 +7,11 @@ metrics; a renamed function or a dropped by-name import fails there.
 
 import os
 import sys
+import threading
 
 import numpy as np
 
-from mixlap import kernels, mc, solver, spectral
+from mixlap import cli, kernels, mc, solver, spectral
 from mixlap.params import KernelParams
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -53,6 +54,36 @@ def test_traced_monte_carlo_checks():
     assert metrics["mc.compare_density.heat_kernel_calls"]["value"] == 80
     assert metrics["mc.sample_mixed.samples_per_s"]["value"] > 0
     assert metrics["mc.validate_char_function.ms"]["value"] > 0
+
+
+def test_traced_mc_validate_keeps_traced_calls_on_the_calling_thread(tmp_path):
+    # the tracer keeps one span stack: a traced call on a pool worker would
+    # nest under whatever the calling thread has open, or unbalance the stack
+    argv = ["mc-validate", "--n", "2", "--s", "0.5", "--count", "20000", "--seed", "4",
+            "--output-dir", str(tmp_path)]
+    tracer = spans.Tracer()
+    threads = set()
+    span = tracer.span
+
+    def span_on_thread(name, **attrs):
+        threads.add(threading.get_ident())
+        return span(name, **attrs)
+
+    tracer.span = span_on_thread
+    tracer.install()
+    try:
+        with tracer.span("cli.mc-validate"):
+            code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert threads == {threading.get_ident()}
+    # 10 shells of 8 Gauss nodes, on the calling thread while sub-batch 0 is drawn
+    assert sum(sp.name == "kernels.heat_kernel" for sp in tracer.spans) == 80
+    for sp in tracer.spans:
+        if sp.parent is not None:
+            assert sp.parent.start <= sp.start <= sp.end <= sp.parent.end, sp.name
+    assert tracer.stack == []
 
 
 def test_traced_solve_steps_through_the_solver_global():
