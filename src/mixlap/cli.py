@@ -185,6 +185,12 @@ def _cmd_kernel_verify(args):
     records.append(analysis.check_report(
         "plancherel", max(pl_errs), 1e-6, max(pl_errs) < 1e-6))
 
+    # two points in each lower-bound regime of the two-sided heat bounds:
+    # 1 < t = x^s < x^{2s} for x > 1, and x^2 < t = x^{1+s} < x^{2s} < 1 for x < 1
+    bound_points = ([(x, x ** params.s) for x in (2.0, 4.0)]
+                    + [(x, x ** (1.0 + params.s)) for x in (0.5, 0.8)])
+    records.append(kernels.heat_bound_check(bound_points, params, quad))
+
     radii = np.geomspace(0.2, 50.0, 60)
     prof = kernels.tabulate_kernel("bessel", radii, params, quad)
     mono = prof.is_nonneg_nonincreasing()

@@ -18,17 +18,25 @@ from which all sampler constants follow:
   exp(-lambda^s) (Kanter's construction) and A = c^{1/s} A_1 where
   c = t (2 pi)^{-2s}, this equals exp(-c |theta|^{2s}) = exp(-t |xi|^{2s})
   at theta = 2 pi xi.
+* Given A, X = G + sqrt(2 A) Z is exactly N(0, (sigma^2 + 2 A) I), so the
+  sampler draws A and then one standard normal row per sample, scaled by
+  sqrt(sigma^2 + 2 A).
 
 Memory: a stored batch (``sample_mixed``) is one ``(count, n)`` points array.
 The sampler draws each sub-batch straight into its rows, with three
-sub-batch-long vectors and one small buffer of Gaussian rows as temporaries,
-and the characteristic-function and shell-density checks walk those rows in
-blocks, so nothing else a check allocates grows with ``count``.
-``stream_checks`` runs both checks without that array: each sub-batch is drawn
-into its own rows, reduced block by block into the cosine sums and shell
-counts, and dropped, so its memory is that of the sub-batches in flight
-(about 13 MB at n = 3 with two workers, against 24 MB of points at 10^6
-samples).  Both paths feed the same block statistics and report builders.
+sub-batch-long vectors as temporaries, and the characteristic-function and
+shell-density checks walk those rows in blocks, so nothing else a check
+allocates grows with ``count``.  ``stream_checks`` runs both checks without
+that array: each sub-batch is drawn into its own rows, reduced block by block
+into the cosine sums and shell counts, and dropped, so its memory is that of
+the sub-batches in flight (about 13 MB at n = 3 with two workers, against
+24 MB of points at 10^6 samples).  Both paths feed the same block statistics
+and report builders.
+
+Shift: each frequency's cosines are summed less the closed-form target of the
+batch's mode, the value the report compares against, so the sum of squares
+does not cancel when the spread is small against the mean, and no block has
+to be reduced before the others.
 
 Threads: the sub-batches and the checks' blocks are independent units of work,
 mapped over ``worker_count()`` threads (at most two; numpy releases the GIL in
@@ -36,9 +44,8 @@ this work).  A sub-batch draws from its own spawned generator into its own
 rows, and the blocks' partial sums are added in block order, so every result
 is bitwise the same whatever the worker count.  At most two units, and so two
 units' temporaries, are in flight at a time.  The heat-kernel values of the
-density check run on the calling thread: in ``stream_checks`` while a worker
-draws sub-batch 0, whose first block fixes the cosine shift the other
-sub-batches need.
+density check run on the calling thread: in ``stream_checks`` while the
+workers draw and reduce the sub-batches.
 
 Input: ``t`` must be finite and positive and ``count`` at least 1, or
 ``sample_mixed`` raises ``ValueError``; the characteristic-function check
@@ -64,7 +71,6 @@ _SUB_BATCH = 1 << 17  # sampling is split into sub-batches with spawned sub-seed
 # The statistics walk the points a quarter sub-batch at a time: a block's
 # phases and its 2 pi-scaled rows then take ~2 MB at n = 3 and five frequencies.
 _BLOCK = _SUB_BATCH // 4
-_NORMAL_ROWS = 1 << 13  # rows of the mixed sampler's reused Gaussian buffer
 
 
 def worker_count():
@@ -130,30 +136,26 @@ def _one_sided_stable(s, size, rng):
 
 
 def _sample_chunk(t, params, out, rng, mode):
-    """Fill the rows of ``out`` with draws of X(t) from ``rng``."""
-    count, n = out.shape
+    """Fill the rows of ``out`` with draws of X(t) from ``rng``.
+
+    Given A, X = G + sqrt(2 A) Z is N(0, (sigma^2 + 2 A) I), so a mixed row is
+    one Gaussian row scaled by sqrt(sigma^2 + 2 A): A is drawn first, then Z.
+    """
+    count = len(out)
     s = params.s
-    if mode in ("mixed", "gaussian"):
+    sigma2 = t / (2.0 * np.pi ** 2)
+    if mode == "gaussian":
         rng.standard_normal(out=out)
-        out *= np.sqrt(t / (2.0 * np.pi ** 2))
-    if mode in ("mixed", "stable"):
-        c = t * (2.0 * np.pi) ** (-2.0 * s)
-        a = _one_sided_stable(s, count, rng)
-        a *= c ** (1.0 / s)
-        a *= 2.0
-        scale = np.sqrt(a, out=a)[:, None]
-        if mode == "stable":
-            rng.standard_normal(out=out)
-            out *= scale
-        else:
-            # Z in row pieces: the stream and the sums are those of one
-            # (count, n) draw
-            z = np.empty((min(count, _NORMAL_ROWS), n))
-            for start in range(0, count, _NORMAL_ROWS):
-                stop = min(start + _NORMAL_ROWS, count)
-                piece = rng.standard_normal(out=z[:stop - start])
-                piece *= scale[start:stop]
-                out[start:stop] += piece
+        out *= np.sqrt(sigma2)
+        return
+    c = t * (2.0 * np.pi) ** (-2.0 * s)
+    a = _one_sided_stable(s, count, rng)
+    a *= c ** (1.0 / s)
+    a *= 2.0
+    if mode == "mixed":
+        a += sigma2
+    rng.standard_normal(out=out)
+    out *= np.sqrt(a, out=a)[:, None]
 
 
 def _check_sampling(t, count, mode):
@@ -199,20 +201,29 @@ def _blocks(points):
 
 
 def _cosine_sums(block, xis, shift):
-    """(shift, sum, sum of squares) of the block's cosines cos(2 pi xi . x) less
-    ``shift``; a ``shift`` of None is taken as the block's own cosine mean."""
-    re = 2.0 * np.pi * block @ xis.T
+    """(sum, sum of squares) of the block's cosines cos(2 pi xi . x) less
+    ``shift``, one entry per frequency.
+
+    The phases are laid out (frequency, row), so both reductions run along
+    contiguous rows.
+    """
+    re = xis @ (2.0 * np.pi * block).T
     np.cos(re, out=re)
-    if shift is None:
-        shift = re.mean(axis=0)
-    re -= shift
-    total = re.sum(axis=0)
-    re *= re
-    return shift, total, re.sum(axis=0)
+    re -= shift[:, None]
+    return re.sum(axis=1), np.array([row @ row for row in re])
+
+
+def _radii(block):
+    """|x| of each row, its squares summed column by column: bitwise
+    ``np.linalg.norm(block, axis=1)``."""
+    squares = block[:, 0] * block[:, 0]
+    for column in block.T[1:]:
+        squares += column * column
+    return np.sqrt(squares, out=squares)
 
 
 def _shell_counts(block, edges):
-    return np.histogram(np.linalg.norm(block, axis=1), bins=edges)[0]
+    return np.histogram(_radii(block), bins=edges)[0]
 
 
 def _char_estimate(shift, parts, count):
@@ -260,13 +271,18 @@ def _shell_probabilities(edges, t, params, quad):
 # -- reports
 
 
-def _char_report(t, params, mode, xis, vals, ses, n_sigma):
+def _char_target(t, params, mode, xis):
+    """The closed-form E cos(2 pi xi . X) of the mode at each frequency."""
     r = np.linalg.norm(xis, axis=1)
-    target = np.exp(-t * (r ** 2 + r ** (2.0 * params.s)))
     if mode == "gaussian":
-        target = np.exp(-t * r ** 2)
-    elif mode == "stable":
-        target = np.exp(-t * r ** (2.0 * params.s))
+        return np.exp(-t * r ** 2)
+    if mode == "stable":
+        return np.exp(-t * r ** (2.0 * params.s))
+    return np.exp(-t * (r ** 2 + r ** (2.0 * params.s)))
+
+
+def _char_report(t, params, mode, xis, vals, ses, n_sigma):
+    target = _char_target(t, params, mode, xis)
     rows = [
         {
             "xi": list(map(float, xi)),
@@ -332,16 +348,15 @@ def empirical_char_function(batch, xis):
     Returns (values, standard_errors); by symmetry of the law the imaginary
     part is pure noise and the real part carries the symbol.  The cosines are
     formed one block of rows at a time and summed, with their squares, after
-    subtracting the first block's mean, so the sum of squares does not cancel
-    when the spread is small against the mean.  The blocks' sums are added in
-    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
+    subtracting the closed-form target of the batch's mode, so the sum of
+    squares does not cancel when the spread is small against the mean.  The
+    blocks' sums are added in block order.  The ``ddof=1`` standard error
+    needs ``count >= 2``.
     """
     _check_char_count(batch.count)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    blocks = _blocks(batch.points)
-    shift, *first = _cosine_sums(blocks[0], xis, None)
-    parts = [first] + _map(lambda block: _cosine_sums(block, xis, shift)[1:],
-                           blocks[1:])
+    shift = _char_target(batch.t, batch.params, batch.mode, xis)
+    parts = _map(lambda block: _cosine_sums(block, xis, shift), _blocks(batch.points))
     return _char_estimate(shift, parts, batch.count)
 
 
@@ -380,39 +395,35 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD,
     ``validate_char_function`` and ``compare_density`` of that batch.  Each
     pool worker draws one sub-batch with its spawned generator, reduces it
     block by block into the cosine sums and the shell counts, and drops it.
-    Sub-batch 0 is drawn alone, while the calling thread computes the shell
-    probabilities, because its first block fixes the cosine shift; the other
-    sub-batches follow on all workers.  The heat-kernel values stay on the
-    calling thread.  ``timings`` holds the seconds of that quadrature, the
+    Every sub-batch is mapped over the workers at once, while the calling
+    thread computes the shell probabilities: the heat-kernel values stay on
+    that thread.  ``timings`` holds the seconds of that quadrature, the
     seconds of the whole pass and the samples drawn per second of it.
     """
     _check_sampling(t, count, "mixed")
     _check_char_count(count)
     edges = _shell_edges(radii)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    shift = _char_target(t, params, "mixed", xis)
     starts = range(0, count, _SUB_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(starts))
 
-    def draw_and_reduce(start, child, shift):
+    def draw_and_reduce(job):
+        start, child = job
         rows = np.empty((min(_SUB_BATCH, count - start), params.n))
         _sample_chunk(t, params, rows, np.random.default_rng(child), "mixed")
-        parts = []
-        counts = 0
-        for block in _blocks(rows):
-            shift, total, squares = _cosine_sums(block, xis, shift)
-            parts.append((total, squares))
-            counts = counts + _shell_counts(block, edges)
-        return shift, parts, counts
+        blocks = _blocks(rows)
+        return ([_cosine_sums(block, xis, shift) for block in blocks],
+                sum(_shell_counts(block, edges) for block in blocks))
 
     t0 = time.perf_counter()
     with ThreadPoolExecutor(worker_count()) as pool:
-        first = pool.submit(draw_and_reduce, starts[0], children[0], None)
+        results = pool.map(draw_and_reduce, zip(starts, children))
         probs = _shell_probabilities(edges, t, params, quad)
         quad_s = time.perf_counter() - t0
-        shift, parts, counts = first.result()
-        rest = zip(starts[1:], children[1:])
-        for _, more_parts, more_counts in pool.map(
-                lambda job: draw_and_reduce(*job, shift), rest):
+        parts = []
+        counts = 0
+        for more_parts, more_counts in results:
             parts += more_parts
             counts = counts + more_counts
     pass_s = time.perf_counter() - t0

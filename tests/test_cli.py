@@ -221,6 +221,21 @@ class TestAsymptotics:
         assert report["rel_err_at_largest_radius"] < 0.05
 
 
+class TestKernelVerify:
+    def test_heat_bound_record_reaches_both_lower_regimes(self, tmp_path):
+        out = tmp_path / "kv"
+        code = main(["kernel-verify", "--n", "2", "--s", "0.5", "--output-dir", str(out)])
+        records = read_json(out / "kernel-verify.json")
+        assert code == 0
+        (bounds,) = [rec for rec in records
+                     if rec["check"] == "heat-kernel-two-sided-bounds"]
+        assert bounds["pass"] is True
+        assert not bounds["rejected"]
+        regimes = {regime for row in bounds["points"] for regime in row["lower_regimes"]}
+        assert regimes == {"tail", "gaussian"}
+        assert bounds["lower_ratio_min"] > 0
+
+
 class TestMcValidate:
     def test_small_run(self, tmp_path):
         out = tmp_path / "mc"

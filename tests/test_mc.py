@@ -132,7 +132,8 @@ def _concatenating_sampler(t, params, count, seed, mode):
     """The sampler before streaming: per-sub-batch arrays, summed and joined.
 
     Kept as the oracle that the streamed sampler draws the same stream in the
-    same order of operations.
+    same order of operations.  A mixed row is the conditional Gaussian draw:
+    given A, one standard normal row scaled by sqrt(t / (2 pi^2) + 2 A).
     """
     n, s = params.n, params.s
     children = np.random.SeedSequence(seed).spawn(-(-count // mc._SUB_BATCH))
@@ -142,7 +143,7 @@ def _concatenating_sampler(t, params, count, seed, mode):
         m = min(mc._SUB_BATCH, remaining)
         rng = np.random.default_rng(child)
         pts = np.zeros((m, n))
-        if mode in ("mixed", "gaussian"):
+        if mode == "gaussian":
             pts += np.sqrt(t / (2.0 * np.pi ** 2)) * rng.standard_normal((m, n))
         if mode in ("mixed", "stable"):
             u = rng.uniform(0.0, np.pi, m)
@@ -150,29 +151,31 @@ def _concatenating_sampler(t, params, count, seed, mode):
             a = (np.sin(s * u) ** (s / (1.0 - s)) * np.sin((1.0 - s) * u)
                  / np.sin(u) ** (1.0 / (1.0 - s)))
             a = (t * (2.0 * np.pi) ** (-2.0 * s)) ** (1.0 / s) * (a / w) ** ((1.0 - s) / s)
-            pts += np.sqrt(2.0 * a)[:, None] * rng.standard_normal((m, n))
+            var = 2.0 * a
+            if mode == "mixed":
+                var += t / (2.0 * np.pi ** 2)
+            pts += np.sqrt(var)[:, None] * rng.standard_normal((m, n))
         chunks.append(pts)
         remaining -= m
     return np.concatenate(chunks, axis=0)
 
 
-def _serial_char_function(points, xis):
-    """The characteristic-function block loop before threading.
+def _serial_char_function(points, xis, t, s):
+    """The characteristic-function block loop of a mixed batch, without threads.
 
-    Kept as the oracle that the threaded check adds the same block sums in the
-    same order.
+    Kept as the oracle that the threaded check subtracts the closed-form
+    mixed target and adds the same row-contiguous block sums in the same
+    order.
     """
-    shift = None
+    r = np.linalg.norm(xis, axis=1)
+    shift = np.exp(-t * (r ** 2 + r ** (2.0 * s)))
     total = squares = 0.0
     for start in range(0, len(points), mc._BLOCK):
-        re = 2.0 * np.pi * points[start:start + mc._BLOCK] @ xis.T
+        re = xis @ (2.0 * np.pi * points[start:start + mc._BLOCK]).T
         np.cos(re, out=re)
-        if shift is None:
-            shift = re.mean(axis=0)
-        re -= shift
-        total += re.sum(axis=0)
-        re *= re
-        squares += re.sum(axis=0)
+        re -= shift[:, None]
+        total += re.sum(axis=1)
+        squares += np.array([row @ row for row in re])
     count = len(points)
     var = (squares - total * total / count) / (count - 1)
     return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
@@ -275,7 +278,7 @@ class TestWorkers:
     def test_char_function_bitwise_equal_to_serial_loop(self, monkeypatch):
         batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
-        want_vals, want_ses = _serial_char_function(batch.points, xis)
+        want_vals, want_ses = _serial_char_function(batch.points, xis, 1.0, P3.s)
         for workers in (1, 2):
             vals, ses = _with_workers(monkeypatch, workers, mc.empirical_char_function,
                                       batch, xis)
@@ -361,3 +364,46 @@ class TestStreamedPass:
         monkeypatch.setattr(mc, "heat_kernel", refuse)
         with pytest.raises(ValueError, match=message):
             mc.stream_checks(t, P2, count, 0, [[0.3, 0.1]], MC_EDGES)
+
+
+class TestShellRadii:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_radii_bitwise_equal_to_norm(self, n):
+        # Cauchy rows spread the squares over many orders of magnitude, and
+        # the last of the three blocks is partial
+        points = np.random.default_rng(n).standard_cauchy((2 * mc._BLOCK + 123, n))
+        kept = points.copy()
+        edges = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 40)))
+        blocks = mc._blocks(points)
+        assert len(blocks[-1]) == 123
+        for block in blocks:
+            want = np.linalg.norm(block, axis=1)
+            assert mc._radii(block).tobytes() == want.tobytes()
+            assert np.array_equal(mc._shell_counts(block, edges),
+                                  np.histogram(want, edges)[0])
+        assert points.tobytes() == kept.tobytes()
+
+
+CALIBRATION_PAIRS = [(1, 0.5), (2, 0.1), (2, 0.5), (3, 0.25), (3, 0.9)]
+
+
+def test_mixed_sampler_calibration():
+    # Under an exact sampler each of the 15 statistics of a call (5 frequencies,
+    # 10 shells) is close to N(0, 1).  Over the 6 seeds and 5 pairs below that
+    # is N = 450 statistics: the mean of z^2 has standard deviation sqrt(2/N)
+    # = 0.067, so the RMS has about 0.033.  A call's five frequencies share its
+    # samples, which makes the spread larger; [0.85, 1.15] is 4.5 of those
+    # standard deviations each way.
+    # P(|z| > 4.5) = 6.8e-6, so 450 statistics pass the 4.5 sigma bound with
+    # probability 0.997 when the sampler is exact.
+    sigmas = []
+    for n, s in CALIBRATION_PAIRS:
+        for seed in range(1, 7):
+            xis = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, (5, n))
+            char, density, _ = mc.stream_checks(1.0, KernelParams(n, s), 200_000, seed,
+                                                xis, MC_EDGES)
+            assert len(density["shells"]) == 10
+            sigmas += [row["sigmas"] for row in char["frequencies"] + density["shells"]]
+    sigmas = np.array(sigmas)
+    assert 0.85 <= np.sqrt(np.mean(sigmas ** 2)) <= 1.15
+    assert sigmas.max() <= 4.5
