@@ -116,17 +116,6 @@ class DecayFit:
     c_lower: float
     c_upper: float
 
-    def to_dict(self):
-        return {
-            "window": list(self.window),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "expected_slope": self.expected_slope,
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-        }
-
 
 def decay_fit(profile, window, params=None):
     """Fit log(value) vs log(radius) on the window; report empirical constants.

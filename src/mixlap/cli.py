@@ -13,7 +13,6 @@ over file values.
 """
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -21,7 +20,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import fft
 
 from . import __version__
 from . import analysis, kernels, mc, solver, spectral
@@ -119,15 +117,6 @@ def _write_manifest(outdir, command, config, passed, t_start, stages=None):
     return manifest
 
 
-def _fft_workers(threads):
-    """Context setting the worker threads of scipy.fft (the spectral FFTs)."""
-    if threads is None:
-        return contextlib.nullcontext()
-    if threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {threads}")
-    return fft.set_workers(threads)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations; each returns (exit code, resolved config, pass),
 # and mc-validate also its stage timings
@@ -212,11 +201,9 @@ def _cmd_solve(args):
     grid = spectral.GridSpec(n=params.n, L=args.L, N=args.N)
     cfg = solver.SolverConfig(
         p=args.p, **_given(args, "tol_residual", "max_iter", "seed", "perturb"))
-    workers = _fft_workers(args.threads)  # checked before anything is written
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
-    with workers:
-        u, report = solver.solve_ground_state(grid, params, cfg)
+    u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u,
                          s=params.s, p=cfg.p)
     atomic_write(os.path.join(outdir, "solve-report.json"),
@@ -383,7 +370,6 @@ def build_parser():
     p.add_argument("--seed", type=int, help="seed of the init noise")
     p.add_argument("--perturb", type=float,
                    help="relative amplitude of seeded init noise")
-    p.add_argument("--threads", type=int, help="worker threads of the spectral FFTs")
 
     p = command("analyze", _cmd_analyze, "qualitative checks on a solved field",
                 params=False)

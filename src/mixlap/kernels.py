@@ -1,8 +1,9 @@
 """Heat, Bessel and resolvent-multiplier kernels of -Laplacian + (-Laplacian)^s.
 
 All kernels are inverse Fourier transforms of radial symbols under the
-convention F(x) = int g(|xi|) exp(2 pi i x.xi) d xi, so the operator symbol
-reads m(xi) = |xi|^2 + |xi|^{2s} and every kernel is a function of |x| only.
+convention F(x) = int g(|xi|) exp(2 pi i x.xi) d xi, built from
+``params.operator_symbol`` at k = |xi| (its docstring relates this unit to the
+solver's), so every kernel is a function of |x| only.
 
 Note on the tail constant: the classical asymptotic constant
 
@@ -22,8 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_write
-from .inversion import radial_inverse_fourier, radial_symbol_integral
-from .params import DEFAULT_QUAD, KernelParams
+from .inversion import (
+    radial_inverse_fourier,
+    radial_symbol_integral,
+    sphere_surface_area,
+)
+from .params import DEFAULT_QUAD, KernelParams, operator_symbol
 from .special import bessel_j, gamma
 
 UNITARY_RADIUS_SCALE = 2.0 * np.pi  # unitary-frequency radius R = 2 pi |x|
@@ -188,7 +193,7 @@ def bessel_kernel_shifted(x_norm, a, params, quad=DEFAULT_QUAD):
     s = params.s
 
     def symbol(r):
-        return 1.0 / (a + r * r + r ** (2.0 * s))
+        return 1.0 / (a + operator_symbol(r * r, s))
 
     return _rational_kernel(symbol, x_norm, params, quad)
 
@@ -198,8 +203,8 @@ def resolvent_multiplier_kernel(x_norm, params, quad=DEFAULT_QUAD):
     s = params.s
 
     def symbol(r):
-        r2s = r ** (2.0 * s)
-        return (1.0 + r2s) / (1.0 + r * r + r2s)
+        r_sq = r * r
+        return (1.0 + r_sq ** s) / (1.0 + operator_symbol(r_sq, s))
 
     if x_norm <= 0:
         raise ValueError("x_norm must be positive")
@@ -220,7 +225,7 @@ def bessel_kernel_ball(x_norm, a, params, quad=DEFAULT_QUAD):
 
     def symbol(r):
         ball = rho ** (n / 2.0) * r ** (-n / 2.0) * bessel_j(n / 2.0, 2.0 * np.pi * rho * r)
-        return ball / (a + r * r + r ** (2.0 * s))
+        return ball / (a + operator_symbol(r * r, s))
 
     return _rational_kernel(symbol, x_norm, params, quad)
 
@@ -365,8 +370,6 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD, r_max=30.0):
     """
     from scipy import integrate
 
-    from .inversion import sphere_surface_area
-
     area = sphere_surface_area(params.n)
     val, _ = integrate.quad(
         lambda r: heat_kernel(r, t, params, quad) * r ** (params.n - 1),
@@ -392,7 +395,7 @@ def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0
     frequency_side) pair per sigma, in order.
     """
     n, s = params.n, params.s
-    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    area = sphere_surface_area(n)
 
     # spatial side: composite Gauss-Legendre on a geometric panel mesh so the
     # origin singularity of K (log for n = 2, power for n >= 3) is resolved
@@ -416,7 +419,7 @@ def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0
         def freq_symbol(r):
             return (sigma * np.sqrt(np.pi)) ** n * np.exp(
                 -np.pi ** 2 * sigma ** 2 * r * r
-            ) / (1.0 + r * r + r ** (2.0 * s))
+            ) / (1.0 + operator_symbol(r * r, s))
 
         pairs.append((spatial, radial_symbol_integral(freq_symbol, n, quad)))
     return pairs

@@ -62,8 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_write
+from .inversion import sphere_surface_area
 from .kernels import heat_kernel
-from .params import DEFAULT_QUAD, KernelParams
+from .params import DEFAULT_QUAD, KernelParams, operator_symbol
 from .special import gamma
 
 _MIN_SHELL_COUNT = 50
@@ -258,7 +259,7 @@ def _shell_probabilities(edges, t, params, quad):
     """Heat-kernel mass of each shell: an 8-node Gauss rule in the radius."""
     n = params.n
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    area = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
+    area = sphere_surface_area(n)
     probs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -278,7 +279,7 @@ def _char_target(t, params, mode, xis):
         return np.exp(-t * r ** 2)
     if mode == "stable":
         return np.exp(-t * r ** (2.0 * params.s))
-    return np.exp(-t * (r ** 2 + r ** (2.0 * params.s)))
+    return np.exp(-t * operator_symbol(r ** 2, params.s))
 
 
 def _char_report(t, params, mode, xis, vals, ses, n_sigma):

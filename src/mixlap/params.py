@@ -1,4 +1,5 @@
-"""Shared parameter objects: operator parameters and quadrature settings."""
+"""Shared parameter objects and the operator symbol: operator parameters,
+quadrature settings and the Fourier multiplier of -Laplacian + (-Laplacian)^s."""
 
 from dataclasses import dataclass
 
@@ -44,3 +45,17 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
+
+
+def operator_symbol(k_sq, s):
+    """Multiplier k^2 + k^{2s} of -Laplacian + (-Laplacian)^s at squared frequency k_sq.
+
+    The only place the symbol is written; it is evaluated in two units.
+    ``kernels`` and ``mc`` pass k = |xi|, under the transform convention
+    exp(2 pi i x.xi).  ``spectral`` and ``solver`` pass the angular wavenumber
+    w = 2 pi |xi|.  So the Green's function of the solver's 1 + operator is
+    G(x) = (2 pi)^{-n} K(x / 2 pi), with K = ``kernels.bessel_kernel``, and a
+    ground state's tail constant is (2 pi)^{2s} c_H int u^p, with
+    c_H = ``kernels.heat_tail_constant``.
+    """
+    return k_sq + k_sq ** s

@@ -131,20 +131,22 @@ class SolveReport:
         }
 
 
-def _volume_sum(f, values):
-    return float(f.grid.cell_volume * values.sum())
-
-
 def _dot(a, b):
     """Sum of a * b over the grid, without a temporary grid array."""
     return float(np.dot(a.ravel(), b.ravel()))
 
 
+def _fiber_terms(u, params, cfg):
+    """||u||_s^2 and the integral of (u+)^{p+1}: the two terms of F(t u)."""
+    norm_s_sq = norms(u, params)["sobolev_s"] ** 2
+    up_p1 = np.maximum(u.data, 0.0) ** (cfg.p + 1.0)
+    return norm_s_sq, float(u.grid.cell_volume * up_p1.sum())
+
+
 def energy_plus(u, params, cfg):
     """The functional (1/2)||u||_s^2 - 1/(p+1) integral of (u+)^{p+1}."""
-    nm = norms(u, params)
-    nonlinear = _volume_sum(u, np.maximum(u.data, 0.0) ** (cfg.p + 1.0))
-    return 0.5 * nm["sobolev_s"] ** 2 - nonlinear / (cfg.p + 1.0)
+    norm_s_sq, lp_plus = _fiber_terms(u, params, cfg)
+    return 0.5 * norm_s_sq - lp_plus / (cfg.p + 1.0)
 
 
 def gradient_plus(u, params, cfg):
@@ -311,8 +313,7 @@ def _solve(grid, params, cfg, u0):
         x = up_p = g_prev = f_prev = f = None
         res = residual(u)
     # one norms call serves both identities; the energy is energy_plus's arithmetic
-    norm_s_sq = norms(u, params)["sobolev_s"] ** 2
-    lp_plus = _volume_sum(u, np.maximum(u.data, 0.0) ** (cfg.p + 1.0))
+    norm_s_sq, lp_plus = _fiber_terms(u, params, cfg)
     report = SolveReport(
         iterations=it,
         residual_linf=res,
@@ -346,20 +347,21 @@ def mountain_pass_profile(u, params, cfg, t_grid=None):
     ``t_negative`` is a scale T with F(T u) < 0, witnessing the
     mountain-pass geometry.
     """
-    norm_s_sq = norms(u, params)["sobolev_s"] ** 2
-    lp_plus = _volume_sum(u, np.maximum(u.data, 0.0) ** (cfg.p + 1.0))
+    norm_s_sq, lp_plus = _fiber_terms(u, params, cfg)
     if lp_plus <= 0.0:
         raise DegenerateIterateError("u+ vanishes identically: no fiber maximum")
     t_star = (norm_s_sq / lp_plus) ** (1.0 / (cfg.p - 1.0))
+
+    def F(t):
+        return 0.5 * t ** 2 * norm_s_sq - t ** (cfg.p + 1.0) * lp_plus / (cfg.p + 1.0)
+
     if t_grid is None:
         t_grid = np.linspace(0.05, 2.0, 200) * t_star
     t_grid = np.asarray(t_grid, dtype=float)
-    energies = 0.5 * t_grid ** 2 * norm_s_sq - t_grid ** (cfg.p + 1.0) * lp_plus / (
-        cfg.p + 1.0
-    )
+    energies = F(t_grid)
     # F(t u) -> -inf as t -> inf: find a witness scale with negative energy
     T = 2.0 * t_star
-    while 0.5 * T ** 2 * norm_s_sq - T ** (cfg.p + 1.0) * lp_plus / (cfg.p + 1.0) >= 0:
+    while F(T) >= 0:
         T *= 2.0
     return MountainPassProfile(
         t_grid=t_grid,

@@ -3,15 +3,14 @@
 A field lives on the uniform grid of the box [-L, L]^n with N points per
 axis; its discrete Fourier coefficients sit at the frequencies
 xi_k = k / (2L), k in {-N/2, ..., N/2 - 1}^n.  The operator acts as the
-Fourier multiplier w^2 + w^{2s} with the angular wavenumber w = 2 pi |xi|,
-i.e. the multiplier of the classical Laplacian plus its fractional power,
-so that plane waves e^{2 pi i xi.x} are eigenfunctions with the continuum
-eigenvalues.
+Fourier multiplier ``params.operator_symbol`` at the angular wavenumber
+w = 2 pi |xi|, so that plane waves e^{2 pi i xi.x} are eigenfunctions with the
+continuum eigenvalues; that docstring relates this unit to that of ``kernels``.
 
 Fields are real, so the operator, resolvent and norms work on the real-FFT
 half spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the
 symbol built once per (grid, s) by ``half_symbol``.  The resolvent, applied on
-every solver step, multiplies by the stored 1 / (1 + w^2 + w^{2s}); the
+every solver step, multiplies by the stored 1 / (1 + symbol); the
 operator, applied once or twice a solve, forms its symbol per call.
 """
 
@@ -25,6 +24,7 @@ from scipy import fft
 
 from .errors import FieldFormatError, GridMismatchError
 from .fileio import atomic_write
+from .params import operator_symbol
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,6 @@ class RealField:
 
     def copy(self):
         return RealField(self.grid, self.data.copy())
-
-
-def operator_symbol(w_sq, s):
-    """Multiplier of -Laplacian + (-Laplacian)^s at squared angular wavenumber w_sq."""
-    return w_sq + w_sq ** s
 
 
 @dataclass(frozen=True)

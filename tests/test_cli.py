@@ -361,27 +361,6 @@ class TestConfigFile:
         assert not out.exists()
 
 
-class TestThreads:
-    def test_fft_workers_do_not_change_the_field(self, tmp_path):
-        fields = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            code = main([
-                "solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15",
-                "--N", "64", "--threads", threads, "--output-dir", str(out),
-            ])
-            assert code == 0
-            fields.append((out / "ground_state.bin").read_bytes())
-        assert fields[0] == fields[1]
-
-    def test_nonpositive_thread_count_is_usage_error(self, tmp_path):
-        code = main([
-            "solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15",
-            "--N", "64", "--threads", "0", "--output-dir", str(tmp_path / "o"),
-        ])
-        assert code == 2
-
-
 class TestReproducibility:
     def test_identical_outputs_for_identical_config(self, tmp_path):
         outs = []
@@ -413,7 +392,7 @@ class TestOptions:
         ("solve", "--rel-tol"), ("solve", "--abs-tol"), ("solve", "--max-zeros"),
         ("kernel-tab", "--threads"), ("kernel-verify", "--threads"),
         ("analyze", "--threads"), ("mc-validate", "--threads"),
-        ("asymptotics", "--threads"),
+        ("asymptotics", "--threads"), ("solve", "--threads"),
         ("kernel-tab", "--seed"), ("analyze", "--seed"), ("asymptotics", "--seed"),
         ("analyze", "--n"), ("analyze", "--s"),
     ])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mixlap.errors import FieldFormatError, GridMismatchError
-from mixlap.params import KernelParams
+from mixlap.inversion import radial_inverse_fourier
+from mixlap.params import KernelParams, operator_symbol
 from mixlap import spectral as S
 
 P2 = KernelParams(2, 0.5)
@@ -102,6 +103,46 @@ class TestOperators:
             idx = np.unravel_index(np.argmin(np.abs(r - target)), r.shape)
             pred = (2 * np.pi) ** -2 * K.bessel_kernel(r[idx] / (2 * np.pi), P2)
             assert G.data[idx] == pytest.approx(pred, rel=0.02)
+
+
+class TestFrequencyUnits:
+    """The box resolvent against the quadrature transform of the same symbol.
+
+    phi = exp(-pi |x|^2) transforms to exp(-pi |xi|^2), so (1 + operator)^{-1}
+    phi is the inverse transform of exp(-pi k^2) / (1 + operator_symbol(w^2))
+    at w = 2 pi k.  The box differs from it by its periodic images, which
+    decay like L^{-(n+2s)}: the bound is c_n L^{-(n+2s)}, about 1.4-3x the
+    measured error at L = 20, and doubling L at fixed spacing must cut the
+    error by at least 0.8 * 2^{n+2s}.  Without the 2 pi the error is 0.79.
+    """
+
+    C_N = {2: 8.0, 3: 80.0}
+    N_AT_L10 = {2: 128, 3: 64}
+
+    @staticmethod
+    def worst_relative_error(n, s, L, N):
+        grid = S.GridSpec(n, L, N)
+        phi = S.RealField(grid, np.exp(-np.pi * grid.radius() ** 2))
+        u = S.apply_resolvent(phi, KernelParams(n, s)).data
+
+        def symbol(k):
+            w = 2.0 * np.pi * k
+            return np.exp(-np.pi * k * k) / (1.0 + operator_symbol(w * w, s))
+
+        errs = []
+        for j in (0, 4, 8):  # |x| = 0, 4h and 8h along the first axis
+            ref = radial_inverse_fourier(symbol, j * grid.spacing, n)
+            errs.append(abs(u[(N // 2 + j,) + (N // 2,) * (n - 1)] - ref) / ref)
+        return max(errs)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_box_resolvent_matches_radial_transform(self, n, s):
+        N = self.N_AT_L10[n]
+        err_10 = self.worst_relative_error(n, s, 10.0, N)
+        err_20 = self.worst_relative_error(n, s, 20.0, 2 * N)
+        assert err_20 < self.C_N[n] * 20.0 ** -(n + 2.0 * s)
+        assert err_10 / err_20 >= 0.8 * 2.0 ** (n + 2.0 * s)
 
 
 class TestNorms:
