@@ -219,14 +219,20 @@ def _cmd_analyze(args):
     quad = _quad_from(args)
     field_path = args.field
     outdir = args.output_dir
-    s = spectral.read_header(field_path, "s")["s"]
+    header = spectral.read_header(field_path, "s", "p")
     u = spectral.read_field(field_path)
     grid = u.grid
-    params = KernelParams(grid.n, s)
+    params = KernelParams(grid.n, header["s"])
+    cfg = solver.SolverConfig(p=header["p"])
     records = []
 
     min_u = float(u.data.min())
     records.append(analysis.check_report("positivity", min_u, 0.0, min_u > 0))
+
+    # the field's own equation, max |(1 + L)u - (u+)^p|: a converged solve
+    # reads at most its tol_residual (1e-10 by default)
+    res = float(np.abs(solver.gradient_plus(u, params, cfg).data).max())
+    records.append(analysis.check_report("field-residual", res, 1e-8, res < 1e-8))
 
     # periodization images break symmetry near the box boundary; audit
     # inside a guard radius where the field dominates its images

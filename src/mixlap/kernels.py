@@ -217,11 +217,28 @@ def bessel_kernel_ball(x_norm, a, params, quad=DEFAULT_QUAD):
     The indicator of B_rho transforms to rho^{n/2} r^{-n/2} J_{n/2}(2 pi rho r),
     so the convolution is the inverse transform of that times the shifted
     Bessel symbol 1 / (a + r^2 + r^{2s}).
+
+    Unlike K_a it is finite at |x| = 0, where it is the integral of that
+    symbol, |S^{n-1}| rho^{n/2} int r^{n/2-1} J_{n/2}(2 pi rho r) / (a + r^2 +
+    r^{2s}) dr.  The same integral, times |S^{n-1}| rho^n / (2 pi), is the
+    inverse transform in dimension n + 2 of 1 / (r^2 (a + r^2 + r^{2s})) at
+    |x| = rho, which the Hankel engine sums zero by zero; adaptive quadrature
+    of the slowly decaying oscillation (``radial_symbol_integral``) stops at
+    its subdivision limit, 0.5% off at n = 4.  The ball's transform, 0 * inf
+    at r = 0, is not evaluated.
     """
     if a <= 0:
         raise ValueError("shift a must be positive")
     n, s = params.n, params.s
     rho = 0.5
+
+    if x_norm == 0.0:
+        def shifted(r):
+            r_sq = r * r
+            return 1.0 / (r_sq * (a + operator_symbol(r_sq, s)))
+
+        return sphere_surface_area(n) * rho ** n / (2.0 * np.pi) * radial_inverse_fourier(
+            shifted, rho, n + 2, quad, envelope_scale=0.5, envelope_rel=0.5)
 
     def symbol(r):
         ball = rho ** (n / 2.0) * r ** (-n / 2.0) * bessel_j(n / 2.0, 2.0 * np.pi * rho * r)

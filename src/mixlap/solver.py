@@ -13,7 +13,7 @@ Nehari and fiber-energy identities hold to roundoff at convergence.
 A step maps its input x_k to the image g_k = m_k^gamma R[(x_k+)^p] with
 R = (1 + operator)^{-1}, so (1 + operator) g_k = m_k^gamma (x_k+)^p holds
 exactly.  The residual m_k^gamma (x_k+)^p - (g_k+)^p of the image is therefore
-pointwise, and a step costs one rfftn and one irfftn, those of the resolvent.
+pointwise, and a step costs one transform pair, that of the resolvent.
 
 The solve wraps the step in depth-1 Anderson mixing (type II; H. F. Walker and
 P. Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735).  With f_k = g_k - x_k, the
@@ -30,6 +30,16 @@ Yu. A. Stepanyants, SIAM J. Numer. Anal. 42 (2004) 1110-1127).
 The solve stops on an image: the returned field is the last step's g_k,
 whose pointwise residual the stop tests.  Only the first step applies the
 operator, and a solve confirms its stopping residual with FFTs.
+
+The step and the mixing preserve evenness under every reflection x_i -> -x_i,
+which the ground state has (it is radial), and so does the default start.  A
+start that equals its reflection on every axis is therefore iterated on
+``spectral``'s even layout, [0, L]^n with a DCT-I pair a step, and the
+inner products are its weighted ``dot``; any other start (a perturbed or
+shifted one) on the full box with an rfftn/irfftn pair.  The start alone
+selects the layout.  The stop is confirmed, and the report's residual,
+energy and Nehari gap are computed, on the full-layout field with rfftn, so
+the even path is checked by code it does not share.
 """
 
 from dataclasses import dataclass, field
@@ -40,13 +50,17 @@ import numpy as np
 from .errors import DegenerateIterateError
 from .params import KernelParams
 from .spectral import (
+    EvenGrid,
     GridSpec,
     RealField,
     apply_operator,
     apply_resolvent,
+    even_symbol,
+    expand_even,
     half_symbol,
     norms,
     positive_part_power,
+    reduce_even,
 )
 
 _SUBCRITICAL_MARGIN = 1e-6
@@ -131,11 +145,6 @@ class SolveReport:
         }
 
 
-def _dot(a, b):
-    """Sum of a * b over the grid, without a temporary grid array."""
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def _fiber_terms(u, params, cfg):
     """||u||_s^2 and the integral of (u+)^{p+1}: the two terms of F(t u)."""
     norm_s_sq = norms(u, params)["sobolev_s"] ** 2
@@ -182,12 +191,13 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None, den=None):
     ``u``, at the cost of one ``apply_operator``.  ``den`` is the stabilizer
     denominator <u, (u+)^p> where the caller has already formed it.
     """
-    dv = u.grid.cell_volume
+    grid = u.grid
+    dv = grid.cell_volume
     if up_p is None:
-        num = dv * _dot(u.data, apply_operator(u, params, include_identity=True).data)
+        num = dv * grid.dot(u.data, apply_operator(u, params, include_identity=True).data)
         up_p = positive_part_power(u, cfg.p)
     if den is None:
-        den = dv * _dot(u.data, up_p.data)
+        den = dv * grid.dot(u.data, up_p.data)
     if den <= 0.0:
         raise DegenerateIterateError(
             "stabilizer denominator <u, (u+)^p> is nonpositive: "
@@ -201,7 +211,7 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None, den=None):
     # numerator, then overwrite it with the residual
     lin = up_p.data
     lin *= scale
-    next_num = dv * _dot(nxt.data, lin)
+    next_num = dv * grid.dot(nxt.data, lin)
     next_up_p = positive_part_power(nxt, cfg.p)
     lin -= next_up_p.data
     residual = float(np.abs(lin, out=lin).max())
@@ -209,10 +219,15 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None, den=None):
 
 
 def initial_field(grid, cfg):
-    """Starting guess: isotropic Gaussian bump of width L/8, amplitude 1."""
-    r = grid.radius()
+    """Starting guess: isotropic Gaussian bump of width L/8, amplitude 1.
+
+    Node k of an axis is taken at distance |k - N/2| h from the centre, not at
+    -L + k h, so that the unperturbed bump equals its reflection bitwise.
+    """
+    dist = np.abs(np.arange(grid.N) - grid.N // 2) * grid.spacing
+    r_sq = sum(d ** 2 for d in np.ix_(*([dist] * grid.n)))
     width = grid.L / 8.0
-    data = np.exp(-(r ** 2) / (2.0 * width ** 2))
+    data = np.exp(-r_sq / (2.0 * width ** 2))
     if cfg.perturb > 0.0:
         rng = np.random.default_rng(cfg.seed)
         data = data * (1.0 + cfg.perturb * rng.standard_normal(grid.shape))
@@ -232,15 +247,24 @@ def solve_ground_state(grid, params, cfg, u0=None):
     try:
         return _solve(grid, params, cfg, u0)
     finally:
-        half_symbol.cache_clear()  # the symbol lives only as long as the solve
+        # the symbols live only as long as the solve
+        half_symbol.cache_clear()
+        even_symbol.cache_clear()
 
 
 def _solve(grid, params, cfg, u0):
     cfg.check_subcritical(grid.n)
     x = initial_field(grid, cfg) if u0 is None else u0.copy()
+    even = reduce_even(x)
+    if even is not None:
+        x = even
+    work = x.grid  # the layout the loop runs on
 
-    def residual(u):
-        return float(np.abs(gradient_plus(u, params, cfg).data).max())
+    def confirm(u):
+        """``u`` on the full layout, and its residual by ``gradient_plus``."""
+        if isinstance(u.grid, EvenGrid):
+            u = expand_even(u)
+        return u, float(np.abs(gradient_plus(u, params, cfg).data).max())
 
     stabilizers = []
     residuals = []
@@ -255,7 +279,7 @@ def _solve(grid, params, cfg, u0):
     it = 0
     for it in range(1, cfg.max_iter + 1):
         if g_prev is not None:
-            cross = _dot(g_prev.data, up_p.data)  # before the step overwrites up_p
+            cross = work.dot(g_prev.data, up_p.data)  # before the step overwrites up_p
         u, m_k, pointwise, up_p, a_k = petviashvili_step(x, params, cfg, up_p, num,
                                                          den)
         stabilizers.append(m_k)
@@ -266,7 +290,7 @@ def _solve(grid, params, cfg, u0):
             # no grid array to the step's peak; a failed check restarts the
             # carry and the history from u
             x = up_p = g_prev = f_prev = f = None
-            res = residual(u)
+            u_full, res = confirm(u)
             if res <= cfg.tol_residual:
                 converged = True
                 break
@@ -276,11 +300,11 @@ def _solve(grid, params, cfg, u0):
         # x is the solver's own array, never a step's image: the residual
         # u - x goes into its buffer
         f = np.subtract(u.data, x.data, out=x.data)
-        f_sq = _dot(f, f)
+        f_sq = work.dot(f, f)
         x = None
         if g_prev is not None:
             # depth-1 Anderson mixing: theta minimizes |f + theta (f_prev - f)|
-            f_cross = _dot(f_prev, f)
+            f_cross = work.dot(f_prev, f)
             df_sq = f_sq - 2.0 * f_cross + f_prev_sq
             theta = (f_sq - f_cross) / df_sq if df_sq > 0.0 else np.nan
             if np.isfinite(theta):
@@ -288,9 +312,9 @@ def _solve(grid, params, cfg, u0):
                 np.subtract(g_prev.data, u.data, out=f_prev)
                 f_prev *= theta
                 f_prev += u.data
-                x = RealField(grid, f_prev)
+                x = RealField(work, f_prev)
                 positive_part_power(x, cfg.p, out=up_p.data)
-                den = grid.cell_volume * _dot(x.data, up_p.data)
+                den = grid.cell_volume * work.dot(x.data, up_p.data)
                 if den > 0.0:
                     # (1 + operator) u is m^gamma times the step input's
                     # (x+)^p, so the mixed input's numerator needs only
@@ -311,7 +335,8 @@ def _solve(grid, params, cfg, u0):
 
     if not converged:
         x = up_p = g_prev = f_prev = f = None
-        res = residual(u)
+        u_full, res = confirm(u)
+    u = u_full
     # one norms call serves both identities; the energy is energy_plus's arithmetic
     norm_s_sq, lp_plus = _fiber_terms(u, params, cfg)
     report = SolveReport(

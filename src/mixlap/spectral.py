@@ -7,11 +7,26 @@ Fourier multiplier ``params.operator_symbol`` at the angular wavenumber
 w = 2 pi |xi|, so that plane waves e^{2 pi i xi.x} are eigenfunctions with the
 continuum eigenvalues; that docstring relates this unit to that of ``kernels``.
 
-Fields are real, so the operator, resolvent and norms work on the real-FFT
-half spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the
-symbol built once per (grid, s) by ``half_symbol``.  The resolvent, applied on
-every solver step, multiplies by the stored 1 / (1 + symbol); the
-operator, applied once or twice a solve, forms its symbol per call.
+A field has one of two layouts, told apart by its grid:
+
+* the full layout (``GridSpec``): all N^n points of [-L, L]^n.  Fields are
+  real, so the operator, resolvent and norms work on the real-FFT half
+  spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the symbol
+  built once per (grid, s) by ``half_symbol``.
+* the even layout (``EvenGrid``): a field even under every reflection
+  x_i -> -x_i, stored on [0, L]^n with N/2 + 1 points per axis at x_j = j h.
+  Half index j is full index N/2 + j, and j = N/2 is full index 0, since
+  x = L and x = -L are one point of the periodic box.  An even periodic
+  sequence's DFT is its DCT-I (FFTW's REDFT00), so the operator and resolvent
+  use ``scipy.fft.dctn``/``idctn(type=1)`` with the symbol of ``even_symbol``
+  at w = 2 pi k / (2L), k = 0..N/2: 2^n times fewer points than the full box.
+  ``reduce_even`` and ``expand_even`` convert between the layouts.
+
+``apply_operator``, ``apply_resolvent``, ``positive_part_power`` and the
+grid's ``dot`` accept either layout; ``norms`` and the field files are full
+layout only.  The resolvent, applied on every solver step, multiplies by the
+stored 1 / (1 + symbol); the operator, applied once or twice a solve, forms
+its symbol per call.
 """
 
 import json
@@ -70,6 +85,41 @@ class GridSpec:
         if center is None:
             center = (0.0,) * self.n
         return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
+
+    def dot(self, a, b):
+        """Sum of a * b over the box's N^n points, without a temporary grid array."""
+        return float(np.dot(a.ravel(), b.ravel()))
+
+
+@dataclass(frozen=True)
+class EvenGrid(GridSpec):
+    """The even layout of the box [-L, L]^n: [0, L]^n with N/2 + 1 points per axis.
+
+    Point j of an axis is x_j = j h, full index N/2 + j (see the module
+    docstring).  ``dot`` weights each point by the number of full-box points
+    it stands for, per axis 1 at x = 0 and x = L and 2 in between, so that it
+    equals the full box's sum.
+    """
+
+    @property
+    def shape(self):
+        return (self.N // 2 + 1,) * self.n
+
+    @property
+    def full(self):
+        """The full layout of the same box."""
+        return GridSpec(self.n, self.L, self.N)
+
+    def axis(self):
+        return self.spacing * np.arange(self.N // 2 + 1)
+
+    def dot(self, a, b):
+        total = a * b
+        weight = np.full(self.N // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        for _ in range(self.n):  # contract one axis at a time
+            total = np.tensordot(weight, total, axes=1)
+        return float(total)
 
 
 @dataclass
@@ -134,25 +184,78 @@ def half_symbol(grid, s):
     return sym
 
 
-def _field_from_half(c, grid):
-    return RealField(grid, fft.irfftn(c, s=grid.shape))
+@dataclass(frozen=True)
+class EvenSymbol:
+    """Symbol arrays of one (grid, s) on the even layout: w^2 and
+    1 / (1 + operator_symbol), both read-only."""
+
+    w_sq: np.ndarray
+    resolvent: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def even_symbol(grid, s):
+    """w^2 and the resolvent symbol of the EvenGrid ``grid`` at order ``s``.
+
+    The DCT-I coefficient k of every axis is the DFT mode k, k = 0..N/2.  One
+    entry is cached and cleared by ``solve_ground_state``, as for
+    ``half_symbol``.
+    """
+    w = 2.0 * np.pi * fft.rfftfreq(grid.N, d=grid.spacing)
+    w_sq = sum(wa ** 2 for wa in np.ix_(*([w] * grid.n)))
+    sym = EvenSymbol(w_sq=w_sq, resolvent=1.0 / (1.0 + operator_symbol(w_sq, s)))
+    for arr in (sym.w_sq, sym.resolvent):
+        arr.flags.writeable = False
+    return sym
+
+
+def _symbol(grid, s):
+    return even_symbol(grid, s) if isinstance(grid, EvenGrid) else half_symbol(grid, s)
+
+
+def _multiply(f, m):
+    """The field whose transform is f's times the multiplier ``m``."""
+    if isinstance(f.grid, EvenGrid):
+        c = fft.dctn(f.data, type=1)
+        c *= m
+        return RealField(f.grid, fft.idctn(c, type=1))
+    c = fft.rfftn(f.data)
+    c *= m
+    return RealField(f.grid, fft.irfftn(c, s=f.grid.shape))
 
 
 def apply_operator(f, params, include_identity=False):
     """Apply -Laplacian + (-Laplacian)^s (optionally + identity) spectrally."""
-    m = operator_symbol(half_symbol(f.grid, params.s).w_sq, params.s)
+    m = operator_symbol(_symbol(f.grid, params.s).w_sq, params.s)
     if include_identity:
         m += 1.0
-    c = fft.rfftn(f.data)
-    c *= m
-    return _field_from_half(c, f.grid)
+    return _multiply(f, m)
 
 
 def apply_resolvent(f, params):
     """Invert identity + operator: multiply by 1 / (1 + w^2 + w^{2s}) in frequency space."""
-    c = fft.rfftn(f.data)
-    c *= half_symbol(f.grid, params.s).resolvent
-    return _field_from_half(c, f.grid)
+    return _multiply(f, _symbol(f.grid, params.s).resolvent)
+
+
+def reduce_even(f):
+    """``f`` on the even layout if it equals its reflection on every axis, else None.
+
+    The reflection x -> -x maps full index k to (N - k) mod N.
+    """
+    grid = f.grid
+    mirror = -np.arange(grid.N) % grid.N
+    for axis in range(grid.n):
+        if not np.array_equal(f.data, np.take(f.data, mirror, axis=axis)):
+            return None
+    half = np.r_[grid.N // 2:grid.N, 0]
+    return RealField(EvenGrid(grid.n, grid.L, grid.N), f.data[np.ix_(*([half] * grid.n))])
+
+
+def expand_even(f):
+    """The full-layout field of the even-layout ``f``: full[k] = half[|k - N/2|]."""
+    grid = f.grid
+    half = np.abs(np.arange(grid.N) - grid.N // 2)
+    return RealField(grid.full, f.data[np.ix_(*([half] * grid.n))])
 
 
 def _parseval_scale(grid):

@@ -1,12 +1,19 @@
 """Qualitative analysis: radial averaging, symmetry, decay fits, barriers."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from mixlap.errors import MixlapError
 from mixlap.inversion import sphere_surface_area
-from mixlap.kernels import RadialProfile, bessel_kernel, bessel_kernel_shifted
+from mixlap.kernels import (
+    RadialProfile,
+    bessel_kernel,
+    bessel_kernel_ball,
+    bessel_kernel_shifted,
+)
 from mixlap.params import KernelParams, QuadratureSpec
 from mixlap.special import gamma
 from mixlap import analysis as A
@@ -14,6 +21,25 @@ from mixlap import spectral as S
 
 P2 = KernelParams(2, 0.5)
 GRID = S.GridSpec(2, 10.0, 64)
+
+
+def ball_double_integral(x, a, params, rho=0.5):
+    """(K_a * 1_{B_rho})(|x|) as a spatial double integral of kernel values.
+
+    |S^{n-2}| int_0^rho int_0^pi K_a(|x - y|) q^{n-1} sin^{n-2}(theta) dtheta dq,
+    with |y| = q and theta the angle between x and y; it never transforms the
+    ball.  Kernel values are memoized by distance: at x = 0 every theta node
+    of a q has the same one.
+    """
+    n = params.n
+    kernel = functools.lru_cache(maxsize=None)(
+        lambda d: bessel_kernel_shifted(d, a, params))
+    value, _ = integrate.dblquad(
+        lambda theta, q: kernel(np.sqrt(x * x + q * q - 2.0 * x * q * np.cos(theta)))
+        * q ** (n - 1) * np.sin(theta) ** (n - 2),
+        0.0, rho, 0.0, np.pi, epsrel=1e-10,
+    )
+    return value * sphere_surface_area(n - 1)  # 2 for n = 2, the two points of S^0
 
 
 def radial_gaussian(grid, width=3.0):
@@ -142,20 +168,19 @@ class TestBarriers:
     @pytest.mark.parametrize("a", [1.0, 0.5])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ball_convolution_matches_a_spatial_double_integral(self, n, a):
-        # |S^{n-2}| int_0^rho int_0^pi K_a(|x - y|) q^{n-1} sin^{n-2}(theta)
-        # dtheta dq, with |y| = q and theta the angle between x and y; this
-        # integrates kernel values in space and never transforms the ball
-        params, x, rho = KernelParams(n, 0.5), 10.0, 0.5
-        oracle, _ = integrate.dblquad(
-            lambda theta, q: bessel_kernel_shifted(
-                np.sqrt(x * x + q * q - 2.0 * x * q * np.cos(theta)), a, params)
-            * q ** (n - 1) * np.sin(theta) ** (n - 2),
-            0.0, rho, 0.0, np.pi, epsrel=1e-10,
-        )
-        oracle *= sphere_surface_area(n - 1)  # 2 for n = 2, the two points of S^0
+        params, x = KernelParams(n, 0.5), 10.0
+        oracle = ball_double_integral(x, a, params)
         barrier = A.barrier_subsolution if a == 1.0 else A.barrier_supersolution
         got = barrier(params, radii=np.array([x])).values[0]
         assert got == pytest.approx(oracle, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("a", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_convolution_is_finite_at_the_origin(self, n, a):
+        # K_a is singular at 0, but its integral over the ball is finite
+        params = KernelParams(n, 0.5)
+        got = bessel_kernel_ball(0.0, a, params)
+        assert got == pytest.approx(ball_double_integral(0.0, a, params), rel=1e-9, abs=0)
 
     def test_supersolution_envelope(self):
         radii = np.array([2.0, 8.0, 25.0])

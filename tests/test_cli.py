@@ -149,6 +149,7 @@ class TestSolveAnalyze:
         records = read_json(out2 / "analyze.json")
         by_check = {rec["check"]: rec for rec in records}
         assert by_check["positivity"]["pass"]
+        assert by_check["field-residual"]["pass"]
         assert by_check["radial-symmetry"]["pass"]
         assert by_check["decay-slope"]["pass"]
 
@@ -199,6 +200,26 @@ class TestSolveAnalyze:
         assert code == 2
         assert "has no s" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_header_without_p_is_usage_error(self, tmp_path, capsys):
+        grid = spectral.GridSpec(2, 15.0, 64)
+        path = tmp_path / "u.bin"
+        spectral.write_field(path, spectral.RealField(grid, np.ones(grid.shape)), s=0.5)
+        out = tmp_path / "an"
+        code = main(["analyze", "--field", str(path), "--output-dir", str(out)])
+        assert code == 2
+        assert "has no p" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_perturbed_start_solves_on_the_full_box(self, tmp_path):
+        # a perturbed start is not even; the full-box path took 464 steps
+        out = tmp_path / "solve"
+        code = main([
+            "solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15", "--N", "64",
+            "--perturb", "0.05", "--seed", "3", "--output-dir", str(out),
+        ])
+        assert code == 0
+        assert read_json(out / "solve-report.json")["residual_linf"] < 1e-8
 
     def test_invalid_grid_is_usage_error(self, tmp_path):
         code = main([

@@ -171,6 +171,7 @@ class TestSolve:
         grid = S.GridSpec(2, 10.0, 32)
         V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0, max_iter=2))
         assert S.half_symbol.cache_info().currsize == 0
+        assert S.even_symbol.cache_info().currsize == 0
 
     def test_non_convergence_reported(self):
         grid = S.GridSpec(2, 15.0, 128)
@@ -180,25 +181,49 @@ class TestSolve:
         assert report.iterations == 3
 
 
+def shifted_start(grid, cfg, shift=(7, -4)):
+    """The default start moved off the centre: not even, so solved on the full box."""
+    return S.RealField(grid, np.roll(V.initial_field(grid, cfg).data, shift, axis=(0, 1)))
+
+
+def count_transforms(monkeypatch, *names):
+    """Count the calls of the named scipy.fft functions, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(S.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(S.fft, name, counted(name))
+    return calls
+
+
+def record_step_grids(monkeypatch):
+    """The grid of every step's input, in order."""
+    grids = []
+    step_fn = V.petviashvili_step
+
+    def recorded(u, *args, **kwargs):
+        grids.append(u.grid)
+        return step_fn(u, *args, **kwargs)
+
+    monkeypatch.setattr(V, "petviashvili_step", recorded)
+    return grids
+
+
 class TestTransformBudget:
-    """A step costs the resolvent's rfftn/irfftn pair and no other transform."""
+    """A step costs the resolvent's transform pair and no other transform."""
 
     def test_two_transforms_per_step(self, monkeypatch):
-        calls = {"rfftn": 0, "irfftn": 0}
-
-        def counted(name):
-            original = getattr(S.fft, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(S.fft, name, counted(name))
+        calls = count_transforms(monkeypatch, "rfftn", "irfftn")
         grid = S.GridSpec(2, 15.0, 64)
         cfg = V.SolverConfig(p=3.0)
-        u, report = V.solve_ground_state(grid, P2, cfg)
+        u, report = V.solve_ground_state(grid, P2, cfg, u0=shifted_start(grid, cfg))
         assert report.converged
         # c = 5: apply_operator at the start (rfftn + irfftn), the one
         # gradient_plus confirming the stop (rfftn + irfftn), and the one
@@ -207,6 +232,19 @@ class TestTransformBudget:
         assert calls["irfftn"] == report.iterations + 2
         # the report's energy is energy_plus's arithmetic on the same norms
         assert report.energy == V.energy_plus(u, P2, cfg)
+
+    def test_two_dct_transforms_per_even_step(self, monkeypatch):
+        calls = count_transforms(monkeypatch, "rfftn", "irfftn", "dctn", "idctn")
+        grid = S.GridSpec(2, 15.0, 64)
+        cfg = V.SolverConfig(p=3.0)
+        u, report = V.solve_ground_state(grid, P2, cfg)
+        assert report.converged
+        # the even layout's pairs: apply_operator at the start and the
+        # resolvent of every step; on the full box only the confirming
+        # gradient_plus (rfftn + irfftn) and the report's norms (rfftn)
+        assert calls["dctn"] == calls["idctn"] == report.iterations + 1
+        assert calls["rfftn"] == 2 and calls["irfftn"] == 1
+        assert u.grid == grid
 
     def test_identity_residual_matches_gradient(self, monkeypatch):
         grid = S.GridSpec(2, 15.0, 64)
@@ -354,6 +392,47 @@ class TestAndersonMixing:
             tracemalloc.stop()
         assert report.converged
         assert peak <= 16 * 2 ** 20
+
+
+class TestEvenLayout:
+    """An even start is solved on the DCT-I even layout."""
+
+    def test_default_start_takes_the_even_path(self, monkeypatch):
+        # at L = 7.3 the spacing is no dyadic fraction, so a bump built from
+        # -L + k h would miss evenness by roundoff
+        grid = S.GridSpec(2, 7.3, 128)
+        cfg = V.SolverConfig(p=3.0)
+        assert S.reduce_even(V.initial_field(grid, cfg)) is not None
+        grids = record_step_grids(monkeypatch)
+        u, report = V.solve_ground_state(grid, P2, cfg)
+        assert report.converged
+        assert len(grids) == report.iterations
+        assert all(isinstance(g, S.EvenGrid) for g in grids)
+        assert u.grid == grid
+
+    def test_perturbed_and_shifted_starts_take_the_full_box(self, monkeypatch):
+        grid = S.GridSpec(2, 15.0, 64)
+        grids = record_step_grids(monkeypatch)
+        cfg = V.SolverConfig(p=3.0, max_iter=3)
+        V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0, perturb=0.05, seed=3,
+                                                      max_iter=3))
+        V.solve_ground_state(grid, P2, cfg, u0=shifted_start(grid, cfg))
+        assert grids == [grid] * 6
+
+    @pytest.mark.parametrize("case", [
+        (2, 0.5, 3.0, 15.0, 64),
+        (3, 0.5, 2.0, 15.0, 32),
+    ], ids=["2d-64", "3d-32"])
+    def test_matches_the_full_box_plain_oracle(self, case):
+        # at the default tolerance the plain and mixed iterations stop ~5e-12
+        # of max apart; at 1e-12 they agree to ~4e-14
+        n, s, p, L, N = case
+        grid, params = S.GridSpec(n, L, N), KernelParams(n, s)
+        cfg = V.SolverConfig(p=p, tol_residual=1e-12)
+        oracle, _ = plain_solve(grid, params, cfg)
+        u, report = V.solve_ground_state(grid, params, cfg)
+        assert report.converged
+        assert np.abs(u.data - oracle.data).max() <= 1e-12 * oracle.data.max()
 
 
 class TestMountainPass:

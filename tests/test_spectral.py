@@ -231,6 +231,44 @@ class TestFullLayoutOracle:
             assert nm[key] == pytest.approx(ref[key], rel=1e-12), key
 
 
+class TestEvenLayout:
+    """The DCT-I even layout against the full box on mirrored even fields."""
+
+    @staticmethod
+    def mirrored(grid, seed):
+        """A random even-layout field and its full-box mirror."""
+        even = S.EvenGrid(grid.n, grid.L, grid.N)
+        half = S.RealField(even, np.random.default_rng(seed).standard_normal(even.shape))
+        return half, S.expand_even(half)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["n2", "n3"])
+    def test_transforms_and_dot_match_the_full_box(self, grid):
+        half, full = self.mirrored(grid, 16)
+        other, other_full = self.mirrored(grid, 17)
+        assert full.grid == grid
+        for name, apply in (
+                ("resolvent", lambda f: S.apply_resolvent(f, P2)),
+                ("operator", lambda f: S.apply_operator(f, P2)),
+                ("identity+operator",
+                 lambda f: S.apply_operator(f, P2, include_identity=True))):
+            ref = apply(full).data
+            got = S.expand_even(apply(half)).data
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+        ref = grid.dot(full.data, other_full.data)
+        assert half.grid.dot(half.data, other.data) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["n2", "n3"])
+    def test_reduce_and_expand_are_inverse_on_even_fields(self, grid):
+        half, full = self.mirrored(grid, 18)
+        back = S.reduce_even(full)
+        assert back.grid == half.grid
+        assert np.array_equal(back.data, half.data)
+        assert np.array_equal(S.expand_even(back).data, full.data)
+        # a shifted field is not even about the centre
+        shifted = S.RealField(grid, np.roll(full.data, (7, -4), axis=(0, 1)))
+        assert S.reduce_even(shifted) is None
+
+
 class TestNonlinearity:
     def test_pointwise_power(self):
         f = random_field(GRID, 9)

@@ -86,19 +86,41 @@ def test_traced_mc_validate_keeps_traced_calls_on_the_calling_thread(tmp_path):
     assert tracer.stack == []
 
 
-def test_traced_solve_steps_through_the_solver_global():
-    # per-step metrics read 0 unless every step goes through the
-    # solver.petviashvili_step global that the tracer wraps
+def traced_solve(shift=None):
+    """A traced 2-D solve from the default start, moved by ``shift`` if given.
+
+    Returns (report, metrics).  The default start is even, so unmoved it is
+    solved on the even layout.
+    """
     grid = spectral.GridSpec(2, 15.0, 64)
+    cfg = solver.SolverConfig(p=3.0)
+    u0 = None
+    if shift is not None:
+        u0 = spectral.RealField(
+            grid, np.roll(solver.initial_field(grid, cfg).data, shift, axis=(0, 1)))
     tracer = spans.Tracer()
     tracer.install()
     try:
-        _, report = solver.solve_ground_state(grid, KernelParams(2, 0.5),
-                                              solver.SolverConfig(p=3.0))
+        _, report = solver.solve_ground_state(grid, KernelParams(2, 0.5), cfg, u0=u0)
         metrics = tracer.metrics(1)
     finally:
         tracer.uninstall()
     assert report.converged
+    return report, metrics
+
+
+def test_traced_solve_steps_through_the_solver_global():
+    # per-step metrics read 0 unless every step goes through the
+    # solver.petviashvili_step global that the tracer wraps.  The tracer
+    # counts rfftn-family calls only, so the bytes are read on a shifted
+    # start, which the solve runs on the full box
+    report, metrics = traced_solve(shift=(7, -4))
     assert metrics["solver.petviashvili_step.calls"]["value"] == report.iterations
     assert metrics["spectral.bytes_per_step.computed"]["value"] > 0
+    assert metrics["solver.gradient_plus.calls"]["value"] == 1
+
+
+def test_traced_even_solve_steps_through_the_solver_global():
+    report, metrics = traced_solve()
+    assert metrics["solver.petviashvili_step.calls"]["value"] == report.iterations
     assert metrics["solver.gradient_plus.calls"]["value"] == 1
