@@ -2,10 +2,11 @@
 
 Checks positivity, radial symmetry and the two-sided power decay with
 exponent n + 2s on solver output, and constructs the sub/supersolution
-barriers whose tails bracket the solution's decay.  A barrier is a
-Bessel-type kernel K_a convolved with the indicator of the ball of radius
-1/2; each of its values is one Hankel transform
-(``kernels.bessel_kernel_ball``).
+barriers whose tails bracket the solution's decay.  The symmetry audit
+groups grid points into orbits exactly, by their integer squared grid
+distance from the center.  A barrier is a Bessel-type kernel K_a convolved
+with the indicator of the ball of radius 1/2; each of its values is one
+Hankel transform (``kernels.bessel_kernel_ball``).
 """
 
 import json
@@ -33,22 +34,19 @@ def _center_coords(u, center):
     return tuple(float(ax[i]) for i in center)
 
 
-def _orbit_decomposition(u, center):
-    """Radii, per-orbit means, orbit sizes and the sorted field values.
+def _orbit_keys(u, center):
+    """Squared grid distance sum_i (k_i - c_i)^2 of every point from the center.
 
-    Grid points are grouped into exact symmetry orbits (equal distance from
-    the center up to rounding at 1e-8), so an exactly radial field has zero
-    in-orbit spread.
+    The key is an integer, so it groups the points at exactly equal distance
+    with no rounding: each key is one orbit, at radius spacing * sqrt(key).
     """
-    coords = _center_coords(u, center)
-    r = np.round(u.grid.radius(center=coords), 8).ravel()
-    vals = u.data.ravel()
-    order = np.argsort(r, kind="stable")
-    r_sorted, v_sorted = r[order], vals[order]
-    uniq, start = np.unique(r_sorted, return_index=True)
-    sums = np.add.reduceat(v_sorted, start)
-    counts = np.diff(np.append(start, len(v_sorted)))
-    return uniq, sums / counts, counts, r_sorted, v_sorted
+    if center is None:
+        center = peak_index(u)
+    keys = np.zeros(u.data.shape, dtype=np.intp)
+    for axis, (size, c) in enumerate(zip(u.data.shape, center)):
+        steps = np.arange(size) - int(c)
+        keys += (steps * steps).reshape((-1,) + (1,) * (keys.ndim - axis - 1))
+    return keys
 
 
 def radial_average(u, center=None, shell_width=None, params=None):
@@ -88,19 +86,23 @@ def symmetry_deviation(u, center=None, r_max=None):
     """Max deviation from exact radial symmetry, relative to the field peak.
 
     Computes max |u(x) - orbit mean at |x - center|| / max(u) over grid
-    points, with orbits of exactly equal radius grouped together so that a
-    radial field scores 0.  ``r_max`` restricts the audit to |x - center|
-    <= r_max; on a periodic box the images of the solution break symmetry
-    near the boundary, so decay-dominated fields should be audited inside
-    a guard radius.
+    points, the points of exactly equal radius grouped into one orbit by
+    their integer squared grid distance from the center (``_orbit_keys``), so
+    that a radial field scores 0.  ``r_max`` restricts the audit to
+    |x - center| <= r_max; on a periodic box the images of the solution break
+    symmetry near the boundary, so decay-dominated fields should be audited
+    inside a guard radius.
     """
-    _, means, counts, r_sorted, v_sorted = _orbit_decomposition(u, center)
-    expanded = np.repeat(means, counts)
-    dev = np.abs(v_sorted - expanded)
-    if r_max is not None:
-        dev = dev[r_sorted <= r_max]
-    if len(dev) == 0:
+    keys = _orbit_keys(u, center).ravel()
+    vals = u.data.ravel()
+    if r_max is not None:  # an orbit lies wholly inside or wholly outside
+        inside = u.grid.spacing * np.sqrt(keys) <= r_max
+        keys, vals = keys[inside], vals[inside]
+    if len(vals) == 0:
         raise ValueError("no grid points inside r_max")
+    sums = np.bincount(keys, weights=vals)
+    counts = np.bincount(keys)
+    dev = np.abs(vals - sums[keys] / counts[keys])
     return float(dev.max() / np.abs(u.data).max())
 
 

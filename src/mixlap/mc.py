@@ -22,16 +22,30 @@ from which all sampler constants follow:
   sampler draws A and then one standard normal row per sample, scaled by
   sqrt(sigma^2 + 2 A).
 
+Trig: every sine and cosine here comes from t = tan(phi / 2), as
+sin phi = 2 t / (1 + t^2) and cos phi = 1 - 2 t^2 / (1 + t^2) (``_sin``,
+``_cos``).  Halving phi is exact, so each value is as accurate as ``np.tan``:
+the cosine within 4.5e-16 absolute of ``np.cos`` over |phi| <= 1e15, the sine
+within 4.5e-16 relative of ``np.sin`` on (0, pi), and non-finite phases give
+nan.  The gain rests on numpy's float64 ``tan`` being vectorised where its
+``sin`` and ``cos`` are not, as on x86-64 CPUs with AVX-512
+(``numpy.show_config()`` lists the SIMD extensions found): on a 2-core
+AVX-512 Xeon a cosine takes 4.7 ns against 14.7 ns for ``np.cos``.  Where
+numpy's ``tan`` runs scalar, the identities cost about what ``np.cos`` does;
+there is no second path.
+
 Memory: a stored batch (``sample_mixed``) is one ``(count, n)`` points array.
 The sampler draws each sub-batch straight into its rows, with three
-sub-batch-long vectors as temporaries, and the characteristic-function and
-shell-density checks walk those rows in blocks, so nothing else a check
-allocates grows with ``count``.  ``stream_checks`` runs both checks without
-that array: each sub-batch is drawn into its own rows, reduced block by block
-into the cosine sums and shell counts, and dropped, so its memory is that of
-the sub-batches in flight (about 13 MB at n = 3 with two workers, against
-24 MB of points at 10^6 samples).  Both paths feed the same block statistics
-and report builders.
+sub-batch-long vectors as temporaries; Kanter's sines borrow the rows, unused
+until the Gaussian draw, as their scratch.  The characteristic-function and
+shell-density checks walk those rows in blocks, the cosines of a block taking
+one block row of scratch, so nothing else a check allocates grows with
+``count``.  ``stream_checks`` runs both checks without that array: each
+sub-batch is drawn into its own rows, reduced block by block into the cosine
+sums and shell counts, and dropped, so its memory is that of the sub-batches
+in flight (about 13 MB at n = 3 with two workers, against 24 MB of points at
+10^6 samples).  Both paths feed the same block statistics and report
+builders.
 
 Shift: each frequency's cosines are summed less the closed-form target of the
 batch's mode, the value the report compares against, so the sum of squares
@@ -110,7 +124,45 @@ class SampleBatch:
             raise ValueError("points must have shape (count, n)")
 
 
-def _one_sided_stable(s, size, rng):
+def _half_angle_tan(phase, scratch):
+    """t = tan(phase / 2) in place, and 1 + t^2 into ``scratch``.
+
+    Halving is exact, so t is as accurate as ``np.tan`` itself.
+    """
+    phase *= 0.5
+    np.tan(phase, out=phase)
+    np.multiply(phase, phase, out=scratch)
+    scratch += 1.0
+
+
+def _sin(phase, scratch):
+    """sin(phase) in place as 2t / (1 + t^2), t = tan(phase / 2).
+
+    ``scratch`` is a float array of the same length, overwritten.  Returns
+    ``phase``.
+    """
+    _half_angle_tan(phase, scratch)
+    phase *= 2.0
+    phase /= scratch
+    return phase
+
+
+def _cos(phase, scratch):
+    """cos(phase) in place as 1 - 2 t^2 / (1 + t^2), t = tan(phase / 2).
+
+    Not 2 / (1 + t^2) - 1, which loses about an ulp where the cosine is near
+    1.  ``scratch`` is a float array of the same length, overwritten.
+    Returns ``phase``.
+    """
+    _half_angle_tan(phase, scratch)
+    phase *= phase
+    phase /= scratch
+    phase *= -2.0
+    phase += 1.0
+    return phase
+
+
+def _one_sided_stable(s, size, rng, scratch=None):
     """One-sided s-stable draws normalized to E exp(-lambda A) = exp(-lambda^s).
 
     Kanter's construction: with U uniform on (0, pi) and W standard
@@ -121,14 +173,17 @@ def _one_sided_stable(s, size, rng):
 
     Evaluated in place on the draws, in the order of the formula; W is drawn
     after U, as the stream has it, once the work on U has freed a buffer.
+    ``scratch``, a float array of ``size`` entries, holds the sines'
+    temporaries; without it one is allocated.
     """
+    if scratch is None:
+        scratch = np.empty(size)
     u = rng.uniform(0.0, np.pi, size)
-    a = np.multiply(s, u)
-    np.sin(a, out=a)
+    a = _sin(np.multiply(s, u), scratch)
     a **= s / (1.0 - s)
     b = np.multiply(1.0 - s, u)
-    a *= np.sin(b, out=b)
-    np.sin(u, out=u)
+    a *= _sin(b, scratch)
+    _sin(u, scratch)
     u **= 1.0 / (1.0 - s)
     a /= u
     a /= rng.standard_exponential(out=b)
@@ -150,7 +205,8 @@ def _sample_chunk(t, params, out, rng, mode):
         out *= np.sqrt(sigma2)
         return
     c = t * (2.0 * np.pi) ** (-2.0 * s)
-    a = _one_sided_stable(s, count, rng)
+    # the rows are unused until the Gaussian draw: they lend Kanter its scratch
+    a = _one_sided_stable(s, count, rng, out.reshape(-1)[:count])
     a *= c ** (1.0 / s)
     a *= 2.0
     if mode == "mixed":
@@ -209,7 +265,9 @@ def _cosine_sums(block, xis, shift):
     contiguous rows.
     """
     re = xis @ (2.0 * np.pi * block).T
-    np.cos(re, out=re)
+    scratch = np.empty(re.shape[1])
+    for row in re:
+        _cos(row, scratch)
     re -= shift[:, None]
     return re.sum(axis=1), np.array([row @ row for row in re])
 

@@ -71,7 +71,61 @@ class TestRadialAverage:
         assert abs(prof.radii[np.argmax(prof.values)] - spike_r) <= GRID.spacing
 
 
+def rounded_radius_deviation(u, center=None, r_max=None):
+    """``symmetry_deviation`` as it was before exact orbit keys: radii rounded
+    to 1e-8, a stable sort, ``np.unique`` and ``reduceat``.
+
+    Kept as the oracle of the integer-keyed grouping.
+    """
+    if center is None:
+        center = A.peak_index(u)
+    ax = u.grid.axis()
+    coords = tuple(float(ax[i]) for i in center)
+    r = np.round(u.grid.radius(center=coords), 8).ravel()
+    order = np.argsort(r, kind="stable")
+    r_sorted, v_sorted = r[order], u.data.ravel()[order]
+    _, start = np.unique(r_sorted, return_index=True)
+    counts = np.diff(np.append(start, len(v_sorted)))
+    means = np.add.reduceat(v_sorted, start) / counts
+    dev = np.abs(v_sorted - np.repeat(means, counts))
+    if r_max is not None:
+        dev = dev[r_sorted <= r_max]
+    return float(dev.max() / np.abs(u.data).max())
+
+
+@pytest.fixture(scope="module")
+def solved_fields():
+    """A 2-D and a 3-D ground state, each solved from a start shifted off the
+    box center so that its peak is not the grid's middle point."""
+    from mixlap import solver as V
+
+    fields = []
+    for n, N in ((2, 64), (3, 32)):
+        grid = S.GridSpec(n, 8.0, N)
+        params = KernelParams(n, 0.5)
+        cfg = V.SolverConfig(p=3.0)
+        start = V.initial_field(grid, cfg)
+        start = S.RealField(grid, np.roll(start.data, (3,) + (-2,) * (n - 1),
+                                          axis=tuple(range(n))))
+        fields.append(V.solve_ground_state(grid, params, cfg, start)[0])
+    return fields
+
+
 class TestSymmetryDeviation:
+    @pytest.mark.parametrize("which", [0, 1], ids=["n2", "n3"])
+    @pytest.mark.parametrize("r_max", [None, 8.0 / 3.0])
+    def test_matches_rounded_radius_oracle(self, solved_fields, which, r_max):
+        u = solved_fields[which]
+        got = A.symmetry_deviation(u, r_max=r_max)
+        want = rounded_radius_deviation(u, r_max=r_max)
+        assert got > 0
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    def test_orbit_keys_are_squared_grid_distances(self):
+        keys = A._orbit_keys(S.RealField(GRID, np.zeros(GRID.shape)), (30, 33))
+        i, j = np.indices(GRID.shape)
+        assert np.array_equal(keys, (i - 30) ** 2 + (j - 33) ** 2)
+
     def test_exactly_radial(self):
         u = radial_gaussian(GRID)
         center = (GRID.N // 2, GRID.N // 2)

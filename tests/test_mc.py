@@ -3,8 +3,11 @@
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlap.params import KernelParams
 from mixlap import mc
@@ -62,6 +65,87 @@ class TestSubordinator:
                 est = vals.mean()
                 se = vals.std(ddof=1) / np.sqrt(len(a))
                 assert abs(est - np.exp(-lam ** s)) < 4.0 * se
+
+    def test_draws_bitwise_equal_with_and_without_scratch(self):
+        # the scratch's old contents must not reach the draws
+        with_scratch = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7),
+                                            np.full(1000, np.nan))
+        without = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7))
+        assert with_scratch.tobytes() == without.tobytes()
+
+
+def _half_angle(fn, phase):
+    phase = np.array(phase, dtype=float)
+    return fn(phase.copy(), np.empty_like(phase))
+
+
+# sines on (0, pi): uniform draws, both ends' neighbourhoods and pi / 2
+SIN_PHASES = np.concatenate((
+    np.random.default_rng(1).uniform(0.0, np.pi, 100_000),
+    np.geomspace(1e-300, 1.0, 301),
+    np.pi - np.geomspace(1e-15, 1.0, 151),
+    [np.nextafter(np.pi, 0.0), np.pi / 2],
+))
+
+def _cos_phases():
+    """Phases over |theta| <= 1e15, their magnitudes spread over every decade."""
+    rng = np.random.default_rng(2)
+    decades = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-20.0, 15.0, 50_000)
+    return np.concatenate((rng.uniform(-10.0, 10.0, 50_000), decades, [1e15, -1e15]))
+
+
+COS_PHASES = _cos_phases()
+TRIG_TOL = 4.5e-16
+
+
+class TestHalfAngleTrig:
+    """``mc._sin`` and ``mc._cos`` against ``np.sin``/``np.cos`` and mpmath."""
+
+    def test_cos_absolute_error_against_numpy(self):
+        got = _half_angle(mc._cos, COS_PHASES)
+        assert np.abs(got - np.cos(COS_PHASES)).max() <= TRIG_TOL
+
+    def test_sin_relative_error_against_numpy(self):
+        got = _half_angle(mc._sin, SIN_PHASES)
+        want = np.sin(SIN_PHASES)
+        assert (np.abs(got - want) / want).max() <= TRIG_TOL
+
+    def test_against_mpmath(self):
+        cos_phases, sin_phases = COS_PHASES[::500], SIN_PHASES[::500]
+        with mpmath.workdps(40):
+            for phase, got in zip(cos_phases, _half_angle(mc._cos, cos_phases)):
+                assert abs(got - mpmath.cos(mpmath.mpf(phase))) <= TRIG_TOL
+            for phase, got in zip(sin_phases, _half_angle(mc._sin, sin_phases)):
+                want = mpmath.sin(mpmath.mpf(phase))
+                assert abs(got - want) <= TRIG_TOL * want
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi / 2, -np.pi / 2, np.pi,
+                                       2 * np.pi, -2 * np.pi])
+    def test_special_points(self, phase):
+        assert abs(_half_angle(mc._cos, [phase])[0] - np.cos(phase)) <= TRIG_TOL
+        assert abs(_half_angle(mc._sin, [phase])[0] - np.sin(phase)) <= TRIG_TOL
+
+    def test_exact_at_zero(self):
+        assert _half_angle(mc._cos, [0.0])[0] == 1.0
+        assert _half_angle(mc._sin, [0.0])[0] == 0.0
+
+    @given(st.floats(min_value=-1e15, max_value=1e15, allow_subnormal=False))
+    @settings(max_examples=300, deadline=None)
+    def test_cos_sweep(self, phase):
+        assert abs(_half_angle(mc._cos, [phase])[0] - np.cos(phase)) <= TRIG_TOL
+
+    @given(st.floats(min_value=1e-300, max_value=np.nextafter(np.pi, 0.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_sin_sweep(self, phase):
+        want = np.sin(phase)
+        assert abs(_half_angle(mc._sin, [phase])[0] - want) <= TRIG_TOL * want
+
+    @pytest.mark.parametrize("fn", [mc._sin, mc._cos], ids=["sin", "cos"])
+    def test_non_finite_gives_nan(self, fn):
+        phases = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_half_angle(fn, phases)).all()
+            assert np.isnan(np.cos(phases)).all()
 
 
 class TestCharFunction:
@@ -128,12 +212,17 @@ class TestDensityComparison:
         assert json.loads(path.read_text())["check"] == "shell-density"
 
 
+def _sin(phase):
+    return mc._sin(phase, np.empty_like(phase))
+
+
 def _concatenating_sampler(t, params, count, seed, mode):
     """The sampler before streaming: per-sub-batch arrays, summed and joined.
 
     Kept as the oracle that the streamed sampler draws the same stream in the
-    same order of operations.  A mixed row is the conditional Gaussian draw:
-    given A, one standard normal row scaled by sqrt(t / (2 pi^2) + 2 A).
+    same order of operations, its sines those of ``mc._sin``.  A mixed row is
+    the conditional Gaussian draw: given A, one standard normal row scaled by
+    sqrt(t / (2 pi^2) + 2 A).
     """
     n, s = params.n, params.s
     children = np.random.SeedSequence(seed).spawn(-(-count // mc._SUB_BATCH))
@@ -148,8 +237,8 @@ def _concatenating_sampler(t, params, count, seed, mode):
         if mode in ("mixed", "stable"):
             u = rng.uniform(0.0, np.pi, m)
             w = rng.standard_exponential(m)
-            a = (np.sin(s * u) ** (s / (1.0 - s)) * np.sin((1.0 - s) * u)
-                 / np.sin(u) ** (1.0 / (1.0 - s)))
+            a = (_sin(s * u) ** (s / (1.0 - s)) * _sin((1.0 - s) * u)
+                 / _sin(u) ** (1.0 / (1.0 - s)))
             a = (t * (2.0 * np.pi) ** (-2.0 * s)) ** (1.0 / s) * (a / w) ** ((1.0 - s) / s)
             var = 2.0 * a
             if mode == "mixed":
@@ -165,14 +254,15 @@ def _serial_char_function(points, xis, t, s):
 
     Kept as the oracle that the threaded check subtracts the closed-form
     mixed target and adds the same row-contiguous block sums in the same
-    order.
+    order, its cosines those of ``mc._cos`` row by row.
     """
     r = np.linalg.norm(xis, axis=1)
     shift = np.exp(-t * (r ** 2 + r ** (2.0 * s)))
     total = squares = 0.0
     for start in range(0, len(points), mc._BLOCK):
         re = xis @ (2.0 * np.pi * points[start:start + mc._BLOCK]).T
-        np.cos(re, out=re)
+        for row in re:
+            mc._cos(row, np.empty_like(row))
         re -= shift[:, None]
         total += re.sum(axis=1)
         squares += np.array([row @ row for row in re])
@@ -182,7 +272,10 @@ def _serial_char_function(points, xis, t, s):
 
 
 def _full_array_char_function(points, xis):
-    """Mean and ddof=1 standard error of the cosines over all rows at once."""
+    """Mean and ddof=1 standard error of the cosines over all rows at once.
+
+    Takes ``np.cos``, not the sampler's half-angle cosine: the independent check.
+    """
     re = np.cos(2.0 * np.pi * points @ xis.T)
     return re.mean(axis=0), re.std(axis=0, ddof=1) / np.sqrt(len(points))
 
