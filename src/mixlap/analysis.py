@@ -166,7 +166,7 @@ def _barrier_profile(a, params, quad, radii, label):
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 1.0):
         raise ValueError("barrier radii must exceed 1")
-    vals = np.array([bessel_kernel_ball(r, a, params, quad) for r in radii])
+    vals = bessel_kernel_ball(radii, a, params, quad)
     return RadialProfile(radii=radii, values=vals, params=params, label=label)
 
 

@@ -296,10 +296,9 @@ def _cmd_asymptotics(args):
     rows = []
     worst = 0.0
     for eta in etas:
-        for x in radii:
-            val = float(
-                x ** power * kernels.heat_kernel_two_scale(x, 1.0, eta, params, quad)
-            )
+        values = kernels.heat_kernel_two_scale(np.array(radii), 1.0, eta, params, quad)
+        for x, value in zip(radii, values.tolist()):
+            val = x ** power * value
             rel = abs(val - alpha) / alpha
             rows.append({"eta": eta, "radius": x, "compensated": val,
                          "tail_constant": alpha, "rel_err": rel})

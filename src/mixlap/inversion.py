@@ -18,9 +18,31 @@ agrees with the previous block's extrapolation to that same tolerance.
 and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
 a sum that has not converged by then raises ``AccuracyError``, as does a
 head or block whose envelope would need more than ``_MAX_PANELS`` panels.
+
+Batches of radii.  ``radial_inverse_fourier_many`` evaluates one symbol at
+an array of radii in one pass.  The graded heads of all radii are panelized
+together and integrated by one integrand call, with a = 2 pi |x| set per
+node; then each block of every radius still summing is handled the same
+way, and one ``bincount`` over (radius, interval) maps the panels back to
+their terms.  Everything that decides a value stays per radius: the stopping
+tests, the tolerances, the panel refusal, ``r_max``, x = 0 and
+``AccuracyError``.  Each panel, term and partial sum is the one a one-radius
+call computes, so every value is bitwise equal to ``radial_inverse_fourier``
+at that radius, which is this engine on one radius.
+
+Memory.  A pass holds about 1 kB per panel (nodes, symbol and Bessel values
+at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a typical
+radius needs a few hundred panels a pass, and a chunk of 16 stays near
+1 MiB, where the 1,932 radii of a Plancherel tabulation in one pass reach
+88 MiB.  Where radii need many panels (the heat kernel at large t and small
+|x| needs 10^4 to 10^5 a radius), a pass integrates its radii in groups of at
+most ``_PASS_PANELS`` panels, or one radius a group when a radius needs more,
+so a batch never holds much more than the larger of 64 MiB and what one
+radius needs alone.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -32,11 +54,15 @@ from .special import bessel_j, bessel_j_zeros, gamma
 _GL_ORDER = 24
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
 _HEAD_LEVELS = 30  # dyadic grading depth toward r = 0
+_GRADING = 0.5 ** np.arange(_HEAD_LEVELS, 0, -1)
+_NORMAL_MIN = np.finfo(float).tiny
 _BLOCK = 16  # zero intervals integrated between two convergence tests
-# Most panels one _panelize call may build.  A value peaks at about 1 kB of
-# memory per panel, so this keeps one call near 2 GB.  The largest piece the
-# test suite builds, the heat kernel's head at t = 5, s = 0.1, |x| = 0.01, cut
-# at r_max = 3.46, has 21,681 panels.
+_BATCH = 16  # radii integrated together (module docstring, "Memory")
+_PASS_PANELS = 65_536  # most panels integrated at once for several radii
+# Most panels one radius's head or block may need.  A value peaks at about
+# 1 kB of memory per panel, so this keeps one radius near 2 GB.  The largest
+# piece the test suite builds, the heat kernel's head at t = 5, s = 0.1,
+# |x| = 0.01, cut at r_max = 3.46, has 21,681 panels.
 _MAX_PANELS = 2_000_000
 
 
@@ -50,57 +76,113 @@ def _cached_zeros(nu, count):
     return bessel_j_zeros(nu, count)
 
 
-def _panelize(breaks, w_cap, w_rel=0.0):
-    """Split each [breaks[i], breaks[i+1]] into equal panels.
+def _panel_counts(lo, hi, w_cap, w_rel):
+    """Panels for each interval [lo[i], hi[i]], as floats.
 
     Panel width is capped at max(w_cap, w_rel * lo): symbols that only vary
     on scales proportional to r (the rational ones) need no absolute cap far
-    from the origin.  Interval i gets m_i panels whose k-th edge is
-    k * ((hi - lo) / m_i) + lo and whose last edge is exactly hi, which is
-    ``np.linspace(lo, hi, m_i + 1)`` to the bit; breaks must be strictly
-    increasing.  Raises ``AccuracyError`` rather than build more than
-    ``_MAX_PANELS`` panels.
+    from the origin.
     """
-    lo, hi = breaks[:-1], breaks[1:]
-    width = hi - lo
     # an infinite cap gives width / cap = 0, hence one panel
-    m = np.maximum(1, np.ceil(width / np.maximum(w_cap, w_rel * lo)))
-    total = m.sum()
-    if total > _MAX_PANELS:
-        raise AccuracyError(
-            f"resolving the envelope on [{breaks[0]:.3g}, {breaks[-1]:.3g}] "
-            f"needs {total:.3g} quadrature panels (limit {_MAX_PANELS})"
-        )
-    m = m.astype(np.int64)
+    return np.maximum(1, np.ceil((hi - lo) / np.maximum(w_cap, w_rel * lo)))
+
+
+def _panelize(lo, hi, m):
+    """Split each interval [lo[i], hi[i]] into m[i] equal panels.
+
+    Interval i's k-th panel edge is k * ((hi - lo) / m_i) + lo and its last
+    edge is exactly hi, which is ``np.linspace(lo, hi, m_i + 1)`` to the bit.
+    Returns the panels' left and right ends and each panel's interval.
+    """
     ends = np.cumsum(m)
     owner = np.repeat(np.arange(len(m)), m)  # interval of each panel
     k = np.arange(ends[-1]) - (ends - m)[owner]  # panel index within its interval
-    p_lo = k * (width / m)[owner] + lo[owner]
-    # each panel ends where the next begins; an interval's first panel
-    # begins exactly at its break
-    return p_lo, np.append(p_lo[1:], breaks[-1])
+    p_lo = k * ((hi - lo) / m)[owner] + lo[owner]
+    # each panel ends where the next of its interval begins
+    p_hi = np.empty_like(p_lo)
+    p_hi[:-1] = p_lo[1:]
+    p_hi[ends - 1] = hi
+    return p_lo, p_hi, owner
 
 
-def _graded_head(hi, w_cap, w_rel=0.0):
-    """Panels covering [0, hi], geometrically refined toward 0."""
+def _head_breaks(hi, w_cap):
+    """Breaks of the head [0, hi], geometrically refined toward 0."""
     first = hi if not np.isfinite(w_cap) else min(hi, w_cap)
-    grading = first * 0.5 ** np.arange(_HEAD_LEVELS, 0, -1)
     # continue the dyadic ladder upward so [first, hi] never degenerates into
     # one long interval whose relative panel cap is set by its small left end
     up = [first]
     while up[-1] < hi:
         up.append(min(2.0 * up[-1], hi))
-    breaks = np.unique(np.concatenate(([0.0], grading, up)))
-    return _panelize(breaks, w_cap, w_rel)
+    breaks = np.concatenate(([0.0], first * _GRADING, up))
+    # strictly increasing already, unless the grading underflowed and repeats
+    return breaks if first * _GRADING[0] >= _NORMAL_MIN else np.unique(breaks)
 
 
-def _gl_integrate(f, los, his):
-    """Vectorized Gauss-Legendre over a batch of panels; returns per-panel integrals."""
+def _gl_integrate(integrand, los, his, a):
+    """Vectorized Gauss-Legendre over a batch of panels; returns per-panel integrals.
+
+    ``a`` is 2 pi |x|, one value or a column of one per panel; the integrand
+    takes the nodes r and a * r.
+    """
     mid = 0.5 * (los + his)[:, None]
     half = 0.5 * (his - los)[:, None]
     nodes = mid + half * _GL_X[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
+    vals = integrand(nodes.ravel(), (a * nodes).ravel()).reshape(nodes.shape)
     return (vals * _GL_W[None, :] * half).sum(axis=1)
+
+
+def _integrate_pass(integrand, a, pieces, w_cap, w_rel):
+    """Panel integrals over the intervals of several radii, in one integrand call.
+
+    Radii whose panels exceed ``_PASS_PANELS`` in all are integrated in groups
+    (``_groups``), one integrand call a group.
+
+    ``pieces[j]`` holds the breaks of radius j's intervals and a[j] is its
+    2 pi |x|.  Returns the panel integrals, each panel's interval (numbered
+    across all pieces, in order) and each radius's panel count.  Raises
+    ``AccuracyError`` before building any panel if one radius's intervals
+    would need more than ``_MAX_PANELS``.
+    """
+    if len(pieces) == 1:
+        lo, hi = pieces[0][:-1], pieces[0][1:]
+    else:
+        lo = np.concatenate([b[:-1] for b in pieces])
+        hi = np.concatenate([b[1:] for b in pieces])
+    first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
+    m = _panel_counts(lo, hi, w_cap, w_rel)
+    counts = np.add.reduceat(m, first[:-1]).tolist()
+    for piece, count in zip(pieces, counts):
+        if count > _MAX_PANELS:
+            raise AccuracyError(
+                f"resolving the envelope on [{piece[0]:.3g}, {piece[-1]:.3g}] "
+                f"needs {count:.3g} quadrature panels (limit {_MAX_PANELS})"
+            )
+    m = m.astype(np.int64)
+    counts = [int(count) for count in counts]
+    vals, owners = [], []
+    for g0, g1 in _groups(counts):
+        i0, i1 = first[g0], first[g1]
+        p_lo, p_hi, owner = _panelize(lo[i0:i1], hi[i0:i1], m[i0:i1])
+        a_panel = a[g0] if g1 - g0 == 1 else a[g0:g1].repeat(counts[g0:g1])[:, None]
+        vals.append(_gl_integrate(integrand, p_lo, p_hi, a_panel))
+        owners.append(owner + i0 if i0 else owner)
+    if len(vals) > 1:
+        return np.concatenate(vals), np.concatenate(owners), counts
+    return vals[0], owners[0], counts
+
+
+def _groups(counts):
+    """Runs (start, stop) of consecutive radii whose counts sum to at most _PASS_PANELS.
+
+    A radius whose count alone exceeds it forms a run of its own.
+    """
+    start, total = 0, 0
+    for j, count in enumerate(counts):
+        if total + count > _PASS_PANELS and j > start:
+            yield start, j
+            start, total = j, 0
+        total += count
+    yield start, len(counts)
 
 
 def _wynn_epsilon(partial_sums):
@@ -112,7 +194,7 @@ def _wynn_epsilon(partial_sums):
     entries agree to roundoff.  The table has at most 40 entries a column,
     so it is built on Python floats: numpy's per-call cost would dominate.
     """
-    s = [float(v) for v in partial_sums]
+    s = np.asarray(partial_sums, dtype=float).tolist()
     if len(s) < 2:
         return s[-1], math.inf
     prev = [0.0] * len(s)  # the epsilon_{-1} column
@@ -145,11 +227,11 @@ def _first_settled(tail_mag, sums, abs_floor, rel_tol):
     if no k qualifies.  A reverse running maximum gives max(tail_mag[k - 2:])
     for every k at once.
     """
-    ks = np.arange(3, len(tail_mag))
     tail_max = np.maximum.accumulate(tail_mag[::-1])[::-1]
-    # fmax, like the scalar max(), keeps abs_floor when a partial sum is NaN
-    settled = tail_max[ks - 2] <= 0.05 * np.fmax(abs_floor, rel_tol * np.abs(sums[ks]))
-    return int(ks[settled.argmax()]) if settled.any() else None
+    # entry i of settled is k = i + 3; fmax, like the scalar max(), keeps
+    # abs_floor when a partial sum is NaN
+    settled = tail_max[1:-2] <= 0.05 * np.fmax(abs_floor, rel_tol * np.abs(sums[3:]))
+    return int(settled.argmax()) + 3 if settled.any() else None
 
 
 def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
@@ -175,67 +257,128 @@ def radial_inverse_fourier(
     """Inverse Fourier transform of a radial symbol, evaluated at |x| = x_norm.
 
     ``symbol`` must accept a 1-D numpy array of radii r >= 0 and return the
-    symbol values g(r).  ``envelope_scale`` caps the quadrature panel width so
-    that a sharply decaying envelope is always resolved; ``r_max`` truncates
-    the partition where the caller knows the envelope to be negligible;
-    ``envelope_rel`` relaxes the cap proportionally to r for symbols that
-    flatten out (in the logarithmic sense) away from the origin.
+    symbol values g(r), elementwise.  ``envelope_scale`` caps the quadrature
+    panel width so that a sharply decaying envelope is always resolved;
+    ``r_max`` truncates the partition where the caller knows the envelope to
+    be negligible; ``envelope_rel`` relaxes the cap proportionally to r for
+    symbols that flatten out (in the logarithmic sense) away from the origin.
     """
-    if x_norm < 0:
+    return _inverse_fourier(symbol, [x_norm], n, quad, envelope_scale, r_max,
+                            envelope_rel)[0]
+
+
+def radial_inverse_fourier_many(
+    symbol, x_norms, n, quad=DEFAULT_QUAD, envelope_scale=None, r_max=None,
+    envelope_rel=0.0,
+):
+    """``radial_inverse_fourier`` at each radius of the 1-D array ``x_norms``, in one pass.
+
+    Radii may come in any order and repeat.  Each value is bitwise equal to
+    ``radial_inverse_fourier`` at that radius; an error any radius raises
+    there is raised here.
+    """
+    x_norms = np.asarray(x_norms, dtype=float)
+    if x_norms.ndim != 1:
+        raise ValueError("x_norms must be a 1-D array")
+    return _inverse_fourier(symbol, x_norms.tolist(), n, quad, envelope_scale, r_max,
+                            envelope_rel)
+
+
+def _inverse_fourier(symbol, xs, n, quad, envelope_scale, r_max, envelope_rel):
+    """The engine of both entry points: values at the radii ``xs``, a list."""
+    if any(x < 0 for x in xs):
         raise ValueError("x_norm must be nonnegative")
-    if x_norm == 0.0:
-        return radial_symbol_integral(symbol, n, quad)
-
-    nu = n / 2.0 - 1.0
-    a = 2.0 * np.pi * x_norm
-    pref = 2.0 * np.pi * x_norm ** (1.0 - n / 2.0)
+    out = np.empty(len(xs))
+    at_origin = [i for i, x in enumerate(xs) if x == 0.0]
+    if at_origin:
+        out[at_origin] = radial_symbol_integral(symbol, n, quad)
+    rest = [i for i, x in enumerate(xs) if x != 0.0]
     w_cap = np.inf if envelope_scale is None else max(envelope_scale / 2.0, 1e-8)
+    for c in range(0, len(rest), _BATCH):
+        chunk = rest[c : c + _BATCH]
+        out[chunk] = _batch(symbol, [float(xs[i]) for i in chunk], n, quad, w_cap,
+                            r_max, envelope_rel)
+    return out
 
-    def integrand(r):
-        return symbol(r) * r ** (n / 2.0) * bessel_j(nu, a * r)
 
-    zeros = _cached_zeros(float(nu), int(quad.max_zeros)) / a
-    if r_max is not None and r_max < zeros[0]:
-        # the symbol is negligible past r_max, before the first zero: the
-        # graded head on [0, r_max] is the whole integral
-        h_lo, h_hi = _graded_head(r_max, w_cap, envelope_rel)
-        return pref * _gl_integrate(integrand, h_lo, h_hi).sum()
-    if r_max is not None and zeros[-1] > r_max:
-        keep = max(6, int(np.searchsorted(zeros, r_max)) + 1)
-        zeros = zeros[: min(keep, len(zeros))]
+def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
+    """Values at up to ``_BATCH`` positive radii ``xs``: heads, then blocks."""
+    nu = n / 2.0 - 1.0
 
-    # head: [0, first zero], graded toward the origin
-    h_lo, h_hi = _graded_head(zeros[0], w_cap, envelope_rel)
-    head = _gl_integrate(integrand, h_lo, h_hi).sum()
-    abs_floor = quad.abs_tol / max(abs(pref), 1e-300)
+    def integrand(r, ar):
+        return symbol(r) * r ** (n / 2.0) * bessel_j(nu, ar)
+
+    count = len(xs)
+    a = np.array([2.0 * np.pi * x for x in xs])
+    pref = [2.0 * np.pi * x ** (1.0 - n / 2.0) for x in xs]
+    unit_zeros = _cached_zeros(float(nu), int(quad.max_zeros))
+    zeros, head_hi = [], []
+    for j in range(count):
+        z = unit_zeros / a[j]
+        if r_max is not None and r_max < z[0]:
+            # the symbol is negligible past r_max, before the first zero: the
+            # graded head on [0, r_max] is the whole integral
+            zeros.append(None)
+            head_hi.append(r_max)
+            continue
+        if r_max is not None and z[-1] > r_max:
+            keep = max(6, int(np.searchsorted(z, r_max)) + 1)
+            z = z[: min(keep, len(z))]
+        zeros.append(z)
+        head_hi.append(z[0])
+
+    # heads: [0, first zero] (or [0, r_max]), graded toward the origin
+    vals, _, per_radius = _integrate_pass(
+        integrand, a, [_head_breaks(hi, w_cap) for hi in head_hi], w_cap, w_rel)
+    ends = list(itertools.accumulate(per_radius, initial=0))
+    head = [vals[ends[j] : ends[j + 1]].sum() for j in range(count)]
+
+    out = np.empty(count)
+    active = []
+    for j in range(count):
+        if zeros[j] is None:
+            out[j] = pref[j] * head[j]
+        else:
+            active.append(j)
+    abs_floor = [quad.abs_tol / max(abs(p), 1e-300) for p in pref]
+    terms = [np.empty(0)] * count
+    previous = [np.nan] * count  # no extrapolation yet: Wynn cannot stop the first block
 
     # oscillatory part: one term per interval between consecutive zeros,
-    # integrated a block of intervals at a time until the sum has converged
-    terms = np.empty(0)
-    previous = np.nan  # no extrapolation yet: Wynn cannot stop the first block
-    for start in range(0, len(zeros) - 1, _BLOCK):
-        breaks = zeros[start : start + _BLOCK + 1]
-        o_lo, o_hi = _panelize(breaks, w_cap, envelope_rel)
-        panel_vals = _gl_integrate(integrand, o_lo, o_hi)
-        # map panels back to their zero interval
-        interval_idx = np.searchsorted(breaks[1:], o_hi, side="left")
-        terms = np.concatenate((terms, np.bincount(interval_idx, panel_vals)))
-        sums = head + np.cumsum(terms)
+    # integrated a block of intervals at a time until each sum has converged
+    start = 0
+    while active:
+        pieces = [zeros[j][start : start + _BLOCK + 1] for j in active]
+        vals, owner, _ = _integrate_pass(integrand, a[active], pieces, w_cap, w_rel)
+        block_terms = np.bincount(owner, vals)
+        first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
+        still = []
+        for slot, j in enumerate(active):
+            terms[j] = np.concatenate((terms[j], block_terms[first[slot] : first[slot + 1]]))
+            sums = head[j] + np.cumsum(terms[j])
 
-        # plain summation if the envelope has already killed the tail
-        k = _first_settled(np.abs(terms), sums, abs_floor, quad.rel_tol)
-        if k is not None:
-            return pref * sums[k]
+            # plain summation if the envelope has already killed the tail
+            k = _first_settled(np.abs(terms[j]), sums, abs_floor[j], quad.rel_tol)
+            if k is not None:
+                out[j] = pref[j] * sums[k]
+                continue
 
-        value, est = _wynn_epsilon(sums[-40:])
-        tol = max(abs_floor, quad.rel_tol * abs(value))
-        if est <= tol and abs(value - previous) <= tol:
-            return pref * value
-        previous = value
-
-    if est > tol:
-        raise AccuracyError(
-            f"accelerated Hankel summation did not converge (error ~ {pref * est:.3e})",
-            achieved=pref * est,
-        )
-    return pref * value
+            value, est = _wynn_epsilon(sums[-40:])
+            tol = max(abs_floor[j], quad.rel_tol * abs(value))
+            if est <= tol and abs(value - previous[j]) <= tol:
+                out[j] = pref[j] * value
+                continue
+            previous[j] = value
+            if start + _BLOCK < len(zeros[j]) - 1:
+                still.append(j)
+            elif est > tol:
+                raise AccuracyError(
+                    "accelerated Hankel summation did not converge "
+                    f"(error ~ {pref[j] * est:.3e})",
+                    achieved=pref[j] * est,
+                )
+            else:
+                out[j] = pref[j] * value
+        active = still
+        start += _BLOCK
+    return out

@@ -314,7 +314,10 @@ def _shell_volumes(edges, n):
 
 
 def _shell_probabilities(edges, t, params, quad):
-    """Heat-kernel mass of each shell: an 8-node Gauss rule in the radius."""
+    """Heat-kernel mass of each shell: an 8-node Gauss rule in the radius.
+
+    One ``heat_kernel`` call a shell evaluates its 8 nodes together.
+    """
     n = params.n
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     area = sphere_surface_area(n)
@@ -322,7 +325,7 @@ def _shell_probabilities(edges, t, params, quad):
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes = mid + half * gl_x
-        kern = np.array([heat_kernel(x, t, params, quad) for x in nodes])
+        kern = heat_kernel(nodes, t, params, quad)
         probs.append(area * np.sum(half * gl_w * kern * nodes ** (n - 1)))
     return probs
 

@@ -34,7 +34,7 @@ def gamma(x):
 def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x), x >= 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("bessel_j requires x >= 0")
     if nu == 0:
         out = sp.j0(x)
@@ -44,7 +44,8 @@ def bessel_j(nu, x):
         out = _bessel_j_half(nu, x)
     else:
         out = sp.jv(nu, x)
-    if np.any(~np.isfinite(np.atleast_1d(out)) & np.isfinite(np.atleast_1d(x))):
+    finite = np.isfinite(out)
+    if not finite.all() and (~finite & np.isfinite(x)).any():
         raise FloatingPointError("bessel_j evaluation overflowed")
     return float(out) if out.ndim == 0 else out
 

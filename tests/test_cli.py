@@ -241,6 +241,22 @@ class TestAsymptotics:
         assert report["pass"] is True
         assert report["rel_err_at_largest_radius"] < 0.05
 
+    def test_radii_in_any_order(self, tmp_path):
+        # one kernel call per eta takes the radii as given; each row is the
+        # row the sorted radii give
+        rows = {}
+        for radii in ("100,20,50", "20,50,100"):
+            out = tmp_path / radii.replace(",", "-")
+            assert main(["asymptotics", "--n", "2", "--s", "0.5", "--radii", radii,
+                         "--output-dir", str(out)]) == 0
+            rows[radii] = read_json(out / "asymptotics.json")["rows"]
+        assert [row["radius"] for row in rows["100,20,50"]] == [100.0, 20.0, 50.0] * 3
+
+        def key(row):
+            return row["eta"], row["radius"]
+
+        assert sorted(rows["100,20,50"], key=key) == sorted(rows["20,50,100"], key=key)
+
 
 class TestKernelVerify:
     def test_heat_bound_record_reaches_both_lower_regimes(self, tmp_path):

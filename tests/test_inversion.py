@@ -12,6 +12,7 @@ from mixlap import inversion, kernels
 from mixlap.errors import AccuracyError
 from mixlap.inversion import (
     radial_inverse_fourier,
+    radial_inverse_fourier_many,
     radial_symbol_integral,
     sphere_surface_area,
 )
@@ -88,10 +89,10 @@ class TestEngineContracts:
         panels = []
         panelize = inversion._panelize
 
-        def counting(breaks, w_cap, w_rel=0.0):
-            lo, hi = panelize(breaks, w_cap, w_rel)
-            panels.append(len(lo))
-            return lo, hi
+        def counting(lo, hi, m):
+            out = panelize(lo, hi, m)
+            panels.append(len(out[0]))
+            return out
 
         monkeypatch.setattr(inversion, "_panelize", counting)
         got = kernels.heat_kernel(0.01, 5.0, KernelParams(1, 0.1))
@@ -161,20 +162,109 @@ class TestMaxZerosIsACap:
         assert got == pytest.approx(oracle, rel=1e-8, abs=0)
 
 
+def rational_symbol(r):
+    return 1.0 / (1.0 + r * r)
+
+
+RATIONAL = {"envelope_scale": 0.5, "envelope_rel": 0.5}
+
+
+class TestBatch:
+    """One pass over many radii against one-radius calls, value by value."""
+
+    def test_bitwise_equal_across_chunks(self):
+        # 40 radii from three bands, unordered and repeated: three chunks
+        rng = np.random.default_rng(2)
+        radii = np.concatenate((np.geomspace(0.01, 100.0, 30), [1.0, 1.0, 0.05]))
+        radii = np.concatenate((rng.permutation(radii), radii[:7]))
+        got = radial_inverse_fourier_many(rational_symbol, radii, 2, **RATIONAL)
+        ref = [radial_inverse_fourier(rational_symbol, x, 2, **RATIONAL) for x in radii]
+        assert len(radii) > 2 * inversion._BATCH
+        assert got.tolist() == ref
+
+    def test_head_only_truncated_and_origin_radii(self):
+        # r_max = 12 lies before the first zero of |x| = 0.01 (at 38.3), so its
+        # head is the whole integral; |x| = 0.7 is cut after the zero past 12
+        radii = np.array([0.7, 0.01, 0.0, 1.7])
+        zeros = sp.jn_zeros(0, 1)[0] / (2.0 * np.pi * radii[[0, 1]])
+        assert zeros[1] > 12.0 > zeros[0]
+        got = radial_inverse_fourier_many(gaussian_symbol(1.0), radii, 2,
+                                          envelope_scale=1.0, r_max=12.0)
+        ref = [radial_inverse_fourier(gaussian_symbol(1.0), x, 2, envelope_scale=1.0,
+                                      r_max=12.0) for x in radii]
+        assert got.tolist() == ref
+        assert got == pytest.approx(np.pi * np.exp(-np.pi ** 2 * radii ** 2), rel=1e-8)
+
+    def test_panel_groups_change_nothing(self, monkeypatch):
+        # a pass whose radii need more than _PASS_PANELS panels in all is
+        # integrated in groups of radii
+        radii = np.geomspace(0.05, 20.0, 9)
+        ref = radial_inverse_fourier_many(rational_symbol, radii, 2, **RATIONAL)
+        monkeypatch.setattr(inversion, "_PASS_PANELS", 40)
+        got = radial_inverse_fourier_many(rational_symbol, radii, 2, **RATIONAL)
+        assert got.tolist() == ref.tolist()
+
+    def test_one_radius_that_cannot_converge_raises(self):
+        # with 14 zeros, |x| = 0.05 converges and |x| = 0.3 does not
+        quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_zeros=14)
+        assert np.isfinite(radial_inverse_fourier(rational_symbol, 0.05, 2, quad, **RATIONAL))
+        with pytest.raises(AccuracyError) as alone:
+            radial_inverse_fourier(rational_symbol, 0.3, 2, quad, **RATIONAL)
+        with pytest.raises(AccuracyError) as batch:
+            radial_inverse_fourier_many(rational_symbol, [0.05, 0.3, 0.05], 2, quad,
+                                        **RATIONAL)
+        assert batch.value.achieved is not None
+        assert batch.value.achieved == alone.value.achieved > 0
+
+    def test_too_many_panels_is_refused_before_any_is_built(self):
+        # the head of |x| = 0.01 at t = 20, s = 0.05 needs 1.7e8 panels; the
+        # other radii's heads are refused with it
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError, match="quadrature panels"):
+                kernels.heat_kernel(np.array([1.0, 0.01, 2.0]), 20.0, KernelParams(1, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_contracts(self):
+        assert radial_inverse_fourier_many(rational_symbol, [], 2, **RATIONAL).shape == (0,)
+        with pytest.raises(ValueError):
+            radial_inverse_fourier_many(rational_symbol, [1.0, -0.5], 2, **RATIONAL)
+        with pytest.raises(ValueError):
+            radial_inverse_fourier_many(rational_symbol, np.ones((2, 2)), 2, **RATIONAL)
+
+
 # ---------------------------------------------------------------------------
 # the vectorised engine against the per-interval loops it replaced
 
 
-def reference_panelize(breaks, w_cap, w_rel=0.0):
-    los, his = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        width = hi - lo
-        cap = max(w_cap, w_rel * lo)
-        m = 1 if not np.isfinite(cap) else max(1, int(np.ceil(width / cap)))
-        edges = np.linspace(lo, hi, m + 1)
+def reference_panel_counts(lo, hi, w_cap, w_rel=0.0):
+    counts = []
+    for a, b in zip(lo, hi):
+        cap = max(w_cap, w_rel * a)
+        counts.append(1 if not np.isfinite(cap) else max(1, int(np.ceil((b - a) / cap))))
+    return np.array(counts)
+
+
+def reference_panelize(lo, hi, m):
+    los, his, owners = [], [], []
+    for i, (a, b, count) in enumerate(zip(lo, hi, m)):
+        edges = np.linspace(a, b, int(count) + 1)
         los.append(edges[:-1])
         his.append(edges[1:])
-    return np.concatenate(los), np.concatenate(his)
+        owners.append(np.full(int(count), i))
+    return np.concatenate(los), np.concatenate(his), np.concatenate(owners)
+
+
+def assert_panels_match_linspace_loop(lo, hi, w_cap, w_rel):
+    m = inversion._panel_counts(lo, hi, w_cap, w_rel)
+    assert np.array_equal(m, reference_panel_counts(lo, hi, w_cap, w_rel))
+    got = inversion._panelize(lo, hi, m.astype(np.int64))
+    ref = reference_panelize(lo, hi, m)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
 
 
 def reference_first_settled(tail_mag, sums, abs_floor, rel_tol):
@@ -193,18 +283,21 @@ class TestVectorisedEngine:
         for size in (2, 3, 40, 400):
             # spacings from well below to well above a 0.3 cap
             breaks = np.cumsum(rng.exponential(1.0, size) * 10.0 ** rng.uniform(-3, 1, size))
-            got_lo, got_hi = inversion._panelize(breaks, w_cap, w_rel)
-            ref_lo, ref_hi = reference_panelize(breaks, w_cap, w_rel)
-            assert np.array_equal(got_lo, ref_lo)
-            assert np.array_equal(got_hi, ref_hi)
+            assert_panels_match_linspace_loop(breaks[:-1], breaks[1:], w_cap, w_rel)
+            # a batch's intervals: pieces of several radii, one after the other
+            pieces = [breaks[:size // 2 + 1], breaks[: size - size // 3]]
+            assert_panels_match_linspace_loop(np.concatenate([b[:-1] for b in pieces]),
+                                              np.concatenate([b[1:] for b in pieces]),
+                                              w_cap, w_rel)
 
     def test_panelize_on_the_graded_head(self):
-        for hi, w_cap, w_rel in ((0.4, np.inf, 0.0), (3.7, 0.25, 0.5), (50.0, 0.5, 0.0)):
-            got = inversion._graded_head(hi, w_cap, w_rel)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(inversion, "_panelize", reference_panelize)
-                ref = inversion._graded_head(hi, w_cap, w_rel)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        for hi, w_cap, w_rel in ((0.4, np.inf, 0.0), (3.7, 0.25, 0.5), (50.0, 0.5, 0.0),
+                                 (1e-300, np.inf, 0.0)):
+            breaks = inversion._head_breaks(hi, w_cap)
+            # strictly increasing from 0 to hi, also where the grading underflows
+            assert breaks[0] == 0.0 and breaks[-1] == hi
+            assert np.all(np.diff(breaks) > 0)
+            assert_panels_match_linspace_loop(breaks[:-1], breaks[1:], w_cap, w_rel)
 
     def test_first_settled_matches_loop(self):
         rng = np.random.default_rng(3)
