@@ -9,13 +9,11 @@ with the indicator of the ball of radius 1/2; each of its values is one
 Hankel transform (``kernels.bessel_kernel_ball``).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MixlapError
-from .fileio import atomic_write
 # tabulate_kernel is unused here, but the benchmark's span tracer wraps it
 # under this module's name
 from .kernels import RadialProfile, bessel_kernel_ball, tabulate_kernel  # noqa: F401
@@ -203,7 +201,3 @@ def check_report(check, statistic, threshold, passed, window=None, **extra):
     }
     rec.update(extra)
     return rec
-
-
-def write_report(path, records):
-    atomic_write(str(path), json.dumps(records, indent=2))

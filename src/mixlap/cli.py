@@ -14,17 +14,17 @@ over file values.
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from . import analysis, kernels, mc, solver, spectral
 from .errors import AccuracyError, MixlapError
-from .fileio import atomic_write
+from .fileio import write_json
 from .params import KernelParams, QuadratureSpec
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _write_manifest(outdir, command, config, passed, t_start, stages=None):
     }
     if stages is not None:
         manifest["stages"] = stages
-    atomic_write(os.path.join(outdir, "manifest.json"), json.dumps(manifest, indent=2))
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
 
 
@@ -132,7 +132,7 @@ def _cmd_kernel_tab(args):
     os.makedirs(args.output_dir, exist_ok=True)
     prof.write_csv(os.path.join(args.output_dir, f"{label}.csv"), quad=quad)
     config = {"kernel": label, "n": params.n, "s": params.s,
-              "radii": radii.tolist(), **extra}
+              "radii": radii.tolist(), **extra, **asdict(quad)}
     return EXIT_OK, config, True
 
 
@@ -190,9 +190,9 @@ def _cmd_kernel_verify(args):
         "bessel-decay-slope", fit.slope, fit.expected_slope,
         abs(fit.slope - fit.expected_slope) < 0.05, window=fit.window))
 
-    analysis.write_report(os.path.join(outdir, "kernel-verify.json"), records)
+    write_json(os.path.join(outdir, "kernel-verify.json"), records)
     passed = all(rec["pass"] for rec in records)
-    config = {"n": params.n, "s": params.s}
+    config = {"n": params.n, "s": params.s, "seed": args.seed, **asdict(quad)}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
 
@@ -206,11 +206,10 @@ def _cmd_solve(args):
     u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u,
                          s=params.s, p=cfg.p)
-    atomic_write(os.path.join(outdir, "solve-report.json"),
-                 json.dumps(report.to_dict(), indent=2))
+    write_json(os.path.join(outdir, "solve-report.json"), report.to_dict())
     config = {"n": params.n, "s": params.s, "p": cfg.p, "L": grid.L, "N": grid.N,
               "tol_residual": cfg.tol_residual, "max_iter": cfg.max_iter,
-              "seed": cfg.seed}
+              "seed": cfg.seed, "perturb": cfg.perturb}
     code = EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
     return code, config, report.converged
 
@@ -263,9 +262,9 @@ def _cmd_analyze(args):
 
     os.makedirs(outdir, exist_ok=True)
     prof.write_csv(os.path.join(outdir, "radial-profile.csv"))
-    analysis.write_report(os.path.join(outdir, "analyze.json"), records)
+    write_json(os.path.join(outdir, "analyze.json"), records)
     passed = all(rec["pass"] for rec in records)
-    config = {"n": params.n, "s": params.s, "field": field_path}
+    config = {"n": params.n, "s": params.s, "field": field_path, **asdict(quad)}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
 
@@ -279,11 +278,11 @@ def _cmd_mc_validate(args):
     char_rep, dens_rep, timings = mc.stream_checks(t, params, count, seed, xis, edges,
                                                    quad)
     os.makedirs(outdir, exist_ok=True)
-    mc.write_report(os.path.join(outdir, "mc-char.json"), char_rep)
-    mc.write_report(os.path.join(outdir, "mc-density.json"), dens_rep)
+    write_json(os.path.join(outdir, "mc-char.json"), char_rep)
+    write_json(os.path.join(outdir, "mc-density.json"), dens_rep)
     passed = char_rep["pass"] and dens_rep["pass"]
     config = {"n": params.n, "s": params.s, "t": t, "count": count, "seed": seed,
-              "workers": mc.worker_count()}
+              "workers": mc.worker_count(), **asdict(quad)}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed, timings
 
 
@@ -308,8 +307,9 @@ def _cmd_asymptotics(args):
     report = {"check": "asymptotic-constant", "tail_constant": alpha,
               "rows": rows, "rel_err_at_largest_radius": worst,
               "threshold": 0.05, "pass": passed}
-    atomic_write(os.path.join(outdir, "asymptotics.json"), json.dumps(report, indent=2))
-    config = {"n": params.n, "s": params.s, "radii": radii, "eta": etas}
+    write_json(os.path.join(outdir, "asymptotics.json"), report)
+    config = {"n": params.n, "s": params.s, "radii": radii, "eta": etas,
+              **asdict(quad)}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), config, passed
 
 

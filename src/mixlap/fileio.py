@@ -1,5 +1,6 @@
 """Atomic file writes shared by every file the package produces."""
 
+import json
 import os
 import uuid
 
@@ -22,3 +23,12 @@ def atomic_write(path, data):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_json(path, obj):
+    """Write ``obj`` to ``path`` as indented JSON, atomically.
+
+    ``obj`` is serialised before the file is touched, so a value JSON cannot
+    hold raises TypeError and leaves the old file as it was.
+    """
+    atomic_write(str(path), json.dumps(obj, indent=2))

@@ -21,13 +21,12 @@ each value bitwise equal to the scalar call at that radius; a scalar goes
 through ``inversion.radial_inverse_fourier``.
 """
 
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .inversion import (
     radial_inverse_fourier,
     radial_inverse_fourier_many,
@@ -93,7 +92,7 @@ class RadialProfile:
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
         base = path[:-4] if path.endswith(".csv") else path
-        atomic_write(base + ".json", json.dumps(sidecar, indent=2))
+        write_json(base + ".json", sidecar)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ needs ``count >= 2`` for its ``ddof=1`` standard error.  ``stream_checks``
 raises these errors before it draws anything.
 """
 
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +74,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_write
 from .inversion import sphere_surface_area
 from .kernels import heat_kernel
 from .params import DEFAULT_QUAD, KernelParams, operator_symbol
@@ -495,7 +493,3 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD,
     timings = {"quadrature_s": quad_s, "pass_s": pass_s,
                "samples_per_s": count / pass_s}
     return char, density, timings
-
-
-def write_report(path, report):
-    atomic_write(str(path), json.dumps(report, indent=2))

@@ -39,7 +39,9 @@ inner products are its weighted ``dot``; any other start (a perturbed or
 shifted one) on the full box with an rfftn/irfftn pair.  The start alone
 selects the layout.  The stop is confirmed, and the report's residual,
 energy and Nehari gap are computed, on the full-layout field with rfftn, so
-the even path is checked by code it does not share.
+the even path is checked by code it does not share.  Both layouts take their
+symbol from ``spectral.grid_symbol``, whose one cache holds at most the two
+of a solve and is cleared when the solve returns.
 """
 
 from dataclasses import dataclass, field
@@ -50,14 +52,11 @@ import numpy as np
 from .errors import DegenerateIterateError
 from .params import KernelParams
 from .spectral import (
-    EvenGrid,
-    GridSpec,
     RealField,
     apply_operator,
     apply_resolvent,
-    even_symbol,
     expand_even,
-    half_symbol,
+    grid_symbol,
     norms,
     positive_part_power,
     reduce_even,
@@ -247,22 +246,23 @@ def solve_ground_state(grid, params, cfg, u0=None):
     try:
         return _solve(grid, params, cfg, u0)
     finally:
-        # the symbols live only as long as the solve
-        half_symbol.cache_clear()
-        even_symbol.cache_clear()
+        # the symbols of both layouts live only as long as the solve
+        grid_symbol.cache_clear()
 
 
 def _solve(grid, params, cfg, u0):
     cfg.check_subcritical(grid.n)
     x = initial_field(grid, cfg) if u0 is None else u0.copy()
-    even = reduce_even(x)
-    if even is not None:
-        x = even
+    half = reduce_even(x)
+    even = half is not None
+    if even:
+        x = half
+    del half  # x alone holds the start, which the loop overwrites
     work = x.grid  # the layout the loop runs on
 
     def confirm(u):
         """``u`` on the full layout, and its residual by ``gradient_plus``."""
-        if isinstance(u.grid, EvenGrid):
+        if even:
             u = expand_even(u)
         return u, float(np.abs(gradient_plus(u, params, cfg).data).max())
 

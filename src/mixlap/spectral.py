@@ -11,34 +11,35 @@ A field has one of two layouts, told apart by its grid:
 
 * the full layout (``GridSpec``): all N^n points of [-L, L]^n.  Fields are
   real, so the operator, resolvent and norms work on the real-FFT half
-  spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only), with the symbol
-  built once per (grid, s) by ``half_symbol``.
+  spectrum (``scipy.fft.rfftn``: last-axis modes 0..N/2 only).
 * the even layout (``EvenGrid``): a field even under every reflection
   x_i -> -x_i, stored on [0, L]^n with N/2 + 1 points per axis at x_j = j h.
   Half index j is full index N/2 + j, and j = N/2 is full index 0, since
   x = L and x = -L are one point of the periodic box.  An even periodic
   sequence's DFT is its DCT-I (FFTW's REDFT00), so the operator and resolvent
-  use ``scipy.fft.dctn``/``idctn(type=1)`` with the symbol of ``even_symbol``
-  at w = 2 pi k / (2L), k = 0..N/2: 2^n times fewer points than the full box.
+  use ``scipy.fft.dctn``/``idctn(type=1)`` at w = 2 pi k / (2L), k = 0..N/2
+  on every axis: 2^n times fewer points than the full box.
   ``reduce_even`` and ``expand_even`` convert between the layouts.
 
 ``apply_operator``, ``apply_resolvent``, ``positive_part_power`` and the
 grid's ``dot`` accept either layout; ``norms`` and the field files are full
-layout only.  The resolvent, applied on every solver step, multiplies by the
-stored 1 / (1 + symbol); the operator, applied once or twice a solve, forms
-its symbol per call.
+layout only.  ``grid_symbol`` builds one record, w^2 and 1 / (1 + symbol),
+for either layout, cached per (grid, s).  The resolvent, applied on every
+solver step, multiplies by the stored 1 / (1 + symbol); the operator, applied
+once or twice a solve, and ``norms``, once a solve, form the rest per call.
 """
 
 import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
 
 from .errors import FieldFormatError, GridMismatchError
-from .fileio import atomic_write
+from .fileio import atomic_write, write_json
 from .params import operator_symbol
 
 
@@ -110,9 +111,6 @@ class EvenGrid(GridSpec):
         """The full layout of the same box."""
         return GridSpec(self.n, self.L, self.N)
 
-    def axis(self):
-        return self.spacing * np.arange(self.N // 2 + 1)
-
     def dot(self, a, b):
         total = a * b
         weight = np.full(self.N // 2 + 1, 2.0)
@@ -142,75 +140,34 @@ class RealField:
         return RealField(self.grid, self.data.copy())
 
 
-@dataclass(frozen=True)
-class HalfSymbol:
-    """Symbol arrays of one (grid, s) on the ``rfftn`` half layout.
-
-    ``weight`` counts each kept mode together with its dropped conjugate
-    partner, so that sum(weight * |c|^2) over the half layout equals
-    sum(|c|^2) over the full one: 1 on the zero and Nyquist planes of the
-    last axis, whose partners lie in the same plane, and 2 elsewhere.  It is
-    shaped to broadcast along the last axis.  ``resolvent`` is
-    1 / (1 + operator_symbol).  The arrays are read-only.
-    """
+class Symbol(NamedTuple):
+    """w^2 and the resolvent symbol 1 / (1 + operator_symbol) of one (grid, s),
+    on the grid's transform layout; both arrays are read-only."""
 
     w_sq: np.ndarray
-    w_2s: np.ndarray
     resolvent: np.ndarray
-    weight: np.ndarray
 
 
-@lru_cache(maxsize=1)
-def half_symbol(grid, s):
-    """w^2, w^{2s}, the resolvent symbol and Parseval weights of ``grid`` at order ``s``.
+@lru_cache(maxsize=2)
+def grid_symbol(grid, s):
+    """The Symbol of ``grid`` at order ``s``, on its layout's frequencies.
 
-    One entry is cached: a solve reuses its symbol on every step, and
-    ``solve_ground_state`` clears the cache on return so that the arrays
-    live no longer than the solve.
+    The last axis holds DFT modes k = 0..N/2 on both layouts: the rfftn half
+    spectrum of a GridSpec, and the DCT-I coefficients of an EvenGrid.  The
+    other axes hold all N modes on a GridSpec, and modes 0..N/2 again on an
+    EvenGrid.  Two entries are cached, the even layout a solve iterates on and
+    the full layout on which it confirms its stop; ``solve_ground_state``
+    clears the cache on return so that the arrays live no longer than the
+    solve.
     """
-    w_axis = 2.0 * np.pi * fft.fftfreq(grid.N, d=grid.spacing)
     w_last = 2.0 * np.pi * fft.rfftfreq(grid.N, d=grid.spacing)
+    w_axis = (w_last if isinstance(grid, EvenGrid)
+              else 2.0 * np.pi * fft.fftfreq(grid.N, d=grid.spacing))
     w_sq = sum(w ** 2 for w in np.ix_(*([w_axis] * (grid.n - 1) + [w_last])))
-    weight = np.full(w_last.size, 2.0)
-    weight[0] = weight[-1] = 1.0
-    sym = HalfSymbol(
-        w_sq=w_sq,
-        w_2s=w_sq ** s,
-        resolvent=1.0 / (1.0 + operator_symbol(w_sq, s)),
-        weight=weight.reshape((1,) * (grid.n - 1) + (-1,)),
-    )
-    for arr in (sym.w_sq, sym.w_2s, sym.resolvent, sym.weight):
+    sym = Symbol(w_sq, 1.0 / (1.0 + operator_symbol(w_sq, s)))
+    for arr in sym:
         arr.flags.writeable = False
     return sym
-
-
-@dataclass(frozen=True)
-class EvenSymbol:
-    """Symbol arrays of one (grid, s) on the even layout: w^2 and
-    1 / (1 + operator_symbol), both read-only."""
-
-    w_sq: np.ndarray
-    resolvent: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def even_symbol(grid, s):
-    """w^2 and the resolvent symbol of the EvenGrid ``grid`` at order ``s``.
-
-    The DCT-I coefficient k of every axis is the DFT mode k, k = 0..N/2.  One
-    entry is cached and cleared by ``solve_ground_state``, as for
-    ``half_symbol``.
-    """
-    w = 2.0 * np.pi * fft.rfftfreq(grid.N, d=grid.spacing)
-    w_sq = sum(wa ** 2 for wa in np.ix_(*([w] * grid.n)))
-    sym = EvenSymbol(w_sq=w_sq, resolvent=1.0 / (1.0 + operator_symbol(w_sq, s)))
-    for arr in (sym.w_sq, sym.resolvent):
-        arr.flags.writeable = False
-    return sym
-
-
-def _symbol(grid, s):
-    return even_symbol(grid, s) if isinstance(grid, EvenGrid) else half_symbol(grid, s)
 
 
 def _multiply(f, m):
@@ -226,7 +183,7 @@ def _multiply(f, m):
 
 def apply_operator(f, params, include_identity=False):
     """Apply -Laplacian + (-Laplacian)^s (optionally + identity) spectrally."""
-    m = operator_symbol(_symbol(f.grid, params.s).w_sq, params.s)
+    m = operator_symbol(grid_symbol(f.grid, params.s).w_sq, params.s)
     if include_identity:
         m += 1.0
     return _multiply(f, m)
@@ -234,7 +191,7 @@ def apply_operator(f, params, include_identity=False):
 
 def apply_resolvent(f, params):
     """Invert identity + operator: multiply by 1 / (1 + w^2 + w^{2s}) in frequency space."""
-    return _multiply(f, _symbol(f.grid, params.s).resolvent)
+    return _multiply(f, grid_symbol(f.grid, params.s).resolvent)
 
 
 def reduce_even(f):
@@ -271,15 +228,20 @@ def norms(f, params, p=None):
     (Parseval-exact) quadrature; sobolev_s^2 = l2^2 + h1^2 + hs^2.
     """
     grid = f.grid
-    sym = half_symbol(grid, params.s)
+    w_sq = grid_symbol(grid, params.s).w_sq
     c = fft.rfftn(f.data)
     power = c.real ** 2
     power += c.imag ** 2
-    power *= sym.weight
+    # each kept mode counts with its dropped conjugate partner, so that the
+    # half spectrum's weighted sum is the full one's: weight 1 on the zero and
+    # Nyquist planes of the last axis, whose partners lie in the same plane
+    weight = np.full(grid.N // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    power *= weight
     scale = _parseval_scale(grid)
     l2_sq = scale * power.sum()
-    h1_sq = scale * (sym.w_sq * power).sum()
-    hs_sq = scale * (sym.w_2s * power).sum()
+    h1_sq = scale * (w_sq * power).sum()
+    hs_sq = scale * (w_sq ** params.s * power).sum()
     out = {
         "l2": float(np.sqrt(l2_sq)),
         "h1_seminorm": float(np.sqrt(h1_sq)),
@@ -317,7 +279,7 @@ def write_field(path, f, **meta):
     path = str(path)
     atomic_write(path, np.ascontiguousarray(f.data, dtype="<f8"))
     header = dict(meta, n=f.grid.n, L=f.grid.L, N=f.grid.N)
-    atomic_write(path + ".json", json.dumps(header, indent=2))
+    write_json(path + ".json", header)
 
 
 def read_header(path, *keys):

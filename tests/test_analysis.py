@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from mixlap.errors import MixlapError
+from mixlap.fileio import write_json
 from mixlap.inversion import sphere_surface_area
 from mixlap.kernels import (
     RadialProfile,
@@ -336,5 +337,5 @@ class TestReports:
         assert rec["window"] == [1.0, 2.0]
         assert rec["extra_info"] == 7
         path = tmp_path / "report.json"
-        A.write_report(path, [rec])
+        write_json(path, [rec])
         assert json.loads(path.read_text())[0]["check"] == "demo"

@@ -7,14 +7,18 @@ import shlex
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mixlap
-from mixlap import analysis, kernels, mc, spectral
+from mixlap import kernels, mc, spectral
 from mixlap.cli import build_parser, main
+from mixlap.fileio import write_json
+from mixlap.params import QuadratureSpec
+from mixlap.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -258,10 +262,16 @@ class TestAsymptotics:
         assert sorted(rows["100,20,50"], key=key) == sorted(rows["20,50,100"], key=key)
 
 
+@pytest.fixture(scope="module")
+def kernel_verify(tmp_path_factory):
+    """(exit code, output dir) of one kernel-verify run on library defaults."""
+    out = tmp_path_factory.mktemp("kv")
+    return main(["kernel-verify", "--n", "2", "--s", "0.5", "--output-dir", str(out)]), out
+
+
 class TestKernelVerify:
-    def test_heat_bound_record_reaches_both_lower_regimes(self, tmp_path):
-        out = tmp_path / "kv"
-        code = main(["kernel-verify", "--n", "2", "--s", "0.5", "--output-dir", str(out)])
+    def test_heat_bound_record_reaches_both_lower_regimes(self, kernel_verify):
+        code, out = kernel_verify
         records = read_json(out / "kernel-verify.json")
         assert code == 0
         (bounds,) = [rec for rec in records
@@ -328,13 +338,12 @@ class TestImport:
 
 
 class TestReports:
-    @pytest.mark.parametrize("write_report", [mc.write_report, analysis.write_report])
-    def test_failed_serialisation_keeps_the_old_report(self, tmp_path, write_report):
+    def test_failed_serialisation_keeps_the_old_report(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report(path, {"check": "ok", "pass": True})
+        write_json(path, {"check": "ok", "pass": True})
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            write_report(path, {"check": "bad", "value": object()})
+            write_json(path, {"check": "bad", "value": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -422,6 +431,44 @@ _ARGV = {
     "mc-validate": _PARAMS,
     "asymptotics": _PARAMS,
 }
+_QUAD_DEFAULTS = asdict(QuadratureSpec())
+
+
+class TestManifestConfig:
+    """A manifest records every option its run read, library defaults included."""
+
+    def test_solve_records_seed_and_perturb(self, tmp_path):
+        argv = ["solve", *_PARAMS, "--p", "3", "--L", "10", "--N", "32", "--max-iter", "2"]
+        main(argv + ["--output-dir", str(tmp_path / "plain")])
+        main(argv + ["--perturb", "0.05", "--seed", "3",
+                     "--output-dir", str(tmp_path / "perturbed")])
+        plain = read_json(tmp_path / "plain" / "manifest.json")["config"]
+        perturbed = read_json(tmp_path / "perturbed" / "manifest.json")["config"]
+        defaults = SolverConfig(p=3.0)
+        assert (plain["seed"], plain["perturb"]) == (defaults.seed, defaults.perturb)
+        assert (perturbed["seed"], perturbed["perturb"]) == (3, 0.05)
+
+    def test_kernel_verify_records_seed_and_quadrature(self, kernel_verify):
+        config = read_json(kernel_verify[1] / "manifest.json")["config"]
+        assert config["seed"] == 0
+        assert {key: config[key] for key in _QUAD_DEFAULTS} == _QUAD_DEFAULTS
+
+    @pytest.mark.parametrize("command", ["kernel-tab", "analyze", "mc-validate",
+                                         "asymptotics"])
+    def test_quadrature_is_recorded_resolved(self, tmp_path, command):
+        argv = [command, *_ARGV[command], "--rel-tol", "1e-7"]
+        if command == "analyze":
+            grid = spectral.GridSpec(2, 15.0, 128)
+            field = tmp_path / "u.bin"
+            spectral.write_field(field, spectral.RealField(grid, np.ones(grid.shape)),
+                                 s=0.5, p=3.0)
+            argv[argv.index("u.bin")] = str(field)
+        elif command == "mc-validate":
+            argv += ["--count", "1000"]
+        main(argv + ["--output-dir", str(tmp_path / "o")])
+        config = read_json(tmp_path / "o" / "manifest.json")["config"]
+        assert {key: config[key] for key in _QUAD_DEFAULTS} == dict(
+            _QUAD_DEFAULTS, rel_tol=1e-7)
 
 
 class TestOptions:

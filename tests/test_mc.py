@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixlap.fileio import write_json
 from mixlap.params import KernelParams
 from mixlap import mc
 
@@ -208,7 +209,7 @@ class TestDensityComparison:
         edges = np.linspace(0.2, 1.0, 5)
         rep = mc.compare_density(batch_200k, edges)
         path = tmp_path / "density.json"
-        mc.write_report(path, rep)
+        write_json(path, rep)
         assert json.loads(path.read_text())["check"] == "shell-density"
 
 

@@ -167,11 +167,22 @@ class TestSolve:
         back = np.roll(u2.data, (-shift[0], -shift[1]), axis=(0, 1))
         assert np.abs(back - u.data).max() < 1e-8
 
-    def test_symbol_cache_cleared_on_return(self):
+    def test_symbol_cache_cleared_on_return(self, monkeypatch):
+        # an even solve caches its own layout's symbol and, at the check, the
+        # full box's: two entries in the one cache, and none after it returns
+        sizes = []
+        norms = V.norms
+
+        def counting_norms(*args, **kwargs):
+            out = norms(*args, **kwargs)
+            sizes.append(S.grid_symbol.cache_info().currsize)
+            return out
+
+        monkeypatch.setattr(V, "norms", counting_norms)
         grid = S.GridSpec(2, 10.0, 32)
         V.solve_ground_state(grid, P2, V.SolverConfig(p=3.0, max_iter=2))
-        assert S.half_symbol.cache_info().currsize == 0
-        assert S.even_symbol.cache_info().currsize == 0
+        assert sizes == [2]
+        assert S.grid_symbol.cache_info().currsize == 0
 
     def test_non_convergence_reported(self):
         grid = S.GridSpec(2, 15.0, 128)
@@ -328,7 +339,7 @@ def plain_solve(grid, params, cfg):
             if abs(m_k - 1.0) < V._STABILIZER_TOL and residual <= cfg.tol_residual:
                 return u, it
     finally:
-        S.half_symbol.cache_clear()
+        S.grid_symbol.cache_clear()
     raise AssertionError("the plain iteration did not converge")
 
 

@@ -257,6 +257,19 @@ class TestEvenLayout:
         ref = grid.dot(full.data, other_full.data)
         assert half.grid.dot(half.data, other.data) == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_symbol_is_the_full_symbol_restricted(self, n, s, N):
+        # DCT-I coefficient k of an axis is DFT mode k: the even record is the
+        # full one at modes 0..N/2 of every axis, bitwise
+        grid = S.GridSpec(n, 10.0, N)
+        full = S.grid_symbol(grid, s)
+        even = S.grid_symbol(S.EvenGrid(n, 10.0, N), s)
+        head = (slice(0, N // 2 + 1),) * n
+        for name in ("w_sq", "resolvent"):
+            assert np.array_equal(getattr(even, name), getattr(full, name)[head]), name
+
     @pytest.mark.parametrize("grid", GRIDS, ids=["n2", "n3"])
     def test_reduce_and_expand_are_inverse_on_even_fields(self, grid):
         half, full = self.mirrored(grid, 18)
