@@ -14,6 +14,7 @@ over file values.
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -86,7 +87,11 @@ def _parse(argv):
 
 
 def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """A comma-separated list of finite numbers; an empty list is a usage error."""
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _given(args, *names):

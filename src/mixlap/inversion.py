@@ -21,8 +21,8 @@ head or block whose envelope would need more than ``_MAX_PANELS`` panels.
 
 Batches of radii.  ``radial_inverse_fourier_many`` evaluates one symbol at
 an array of radii in one pass.  The graded heads of all radii are panelized
-together and integrated by one integrand call, with a = 2 pi |x| set per
-node; then each block of every radius still summing is handled the same
+together and integrated as one run of panels, with a = 2 pi |x| set per
+panel; then each block of every radius still summing is handled the same
 way, and one ``bincount`` over (radius, interval) maps the panels back to
 their terms.  Everything that decides a value stays per radius: the stopping
 tests, the tolerances, the panel refusal, ``r_max``, x = 0 and
@@ -30,15 +30,16 @@ tests, the tolerances, the panel refusal, ``r_max``, x = 0 and
 call computes, so every value is bitwise equal to ``radial_inverse_fourier``
 at that radius, which is this engine on one radius.
 
-Memory.  A pass holds about 1 kB per panel (nodes, symbol and Bessel values
-at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a typical
-radius needs a few hundred panels a pass, and a chunk of 16 stays near
-1 MiB, where the 1,932 radii of a Plancherel tabulation in one pass reach
-88 MiB.  Where radii need many panels (the heat kernel at large t and small
-|x| needs 10^4 to 10^5 a radius), a pass integrates its radii in groups of at
-most ``_PASS_PANELS`` panels, or one radius a group when a radius needs more,
-so a batch never holds much more than the larger of 64 MiB and what one
-radius needs alone.
+Memory.  Integrating a panel holds about 1 kB (nodes, symbol and Bessel
+values at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a
+typical radius needs a few hundred panels a pass, and a chunk of 16 stays
+near 1 MiB, where the 1,932 radii of a Plancherel tabulation in one pass
+reach 88 MiB.  Where radii need many panels (the heat kernel at large t and
+small |x| needs 10^4 to 10^5 a radius), a pass integrates its panels in
+consecutive slices of ``_PASS_PANELS``, one integrand call a slice, so the
+integrand's arrays never exceed about 64 MiB, however many panels one radius
+needs.  Only each panel's ends, interval and 2 pi |x|, about 32 B a panel,
+are held for the whole pass.
 """
 
 import functools
@@ -58,11 +59,12 @@ _GRADING = 0.5 ** np.arange(_HEAD_LEVELS, 0, -1)
 _NORMAL_MIN = np.finfo(float).tiny
 _BLOCK = 16  # zero intervals integrated between two convergence tests
 _BATCH = 16  # radii integrated together (module docstring, "Memory")
-_PASS_PANELS = 65_536  # most panels integrated at once for several radii
-# Most panels one radius's head or block may need.  A value peaks at about
-# 1 kB of memory per panel, so this keeps one radius near 2 GB.  The largest
-# piece the test suite builds, the heat kernel's head at t = 5, s = 0.1,
-# |x| = 0.01, cut at r_max = 3.46, has 21,681 panels.
+_PASS_PANELS = 65_536  # most panels integrated by one integrand call
+# Most panels one radius's head or block may need.  It bounds the work of one
+# piece and the panel ends a pass holds (about 32 B a panel, so near 64 MB);
+# the integrand's arrays are bounded by _PASS_PANELS.  The largest piece the
+# test suite builds, the heat kernel's head at t = 5, s = 0.1, |x| = 0.01, cut
+# at r_max = 3.46, has 21,681 panels.
 _MAX_PANELS = 2_000_000
 
 
@@ -121,8 +123,8 @@ def _head_breaks(hi, w_cap):
 def _gl_integrate(integrand, los, his, a):
     """Vectorized Gauss-Legendre over a batch of panels; returns per-panel integrals.
 
-    ``a`` is 2 pi |x|, one value or a column of one per panel; the integrand
-    takes the nodes r and a * r.
+    ``a`` is a column of each panel's 2 pi |x|; the integrand takes the nodes
+    r and a * r.
     """
     mid = 0.5 * (los + his)[:, None]
     half = 0.5 * (his - los)[:, None]
@@ -132,22 +134,18 @@ def _gl_integrate(integrand, los, his, a):
 
 
 def _integrate_pass(integrand, a, pieces, w_cap, w_rel):
-    """Panel integrals over the intervals of several radii, in one integrand call.
-
-    Radii whose panels exceed ``_PASS_PANELS`` in all are integrated in groups
-    (``_groups``), one integrand call a group.
+    """Panel integrals over the intervals of several radii, ``_PASS_PANELS`` at a time.
 
     ``pieces[j]`` holds the breaks of radius j's intervals and a[j] is its
-    2 pi |x|.  Returns the panel integrals, each panel's interval (numbered
-    across all pieces, in order) and each radius's panel count.  Raises
-    ``AccuracyError`` before building any panel if one radius's intervals
-    would need more than ``_MAX_PANELS``.
+    2 pi |x|.  The panels of all intervals are built at once and integrated
+    in consecutive slices of ``_PASS_PANELS`` panels, one integrand call a
+    slice, whichever radius each panel belongs to.  Returns the panel
+    integrals, each panel's interval (numbered across all pieces, in order)
+    and each radius's panel count.  Raises ``AccuracyError`` before building
+    any panel if one radius's intervals would need more than ``_MAX_PANELS``.
     """
-    if len(pieces) == 1:
-        lo, hi = pieces[0][:-1], pieces[0][1:]
-    else:
-        lo = np.concatenate([b[:-1] for b in pieces])
-        hi = np.concatenate([b[1:] for b in pieces])
+    lo = np.concatenate([b[:-1] for b in pieces])
+    hi = np.concatenate([b[1:] for b in pieces])
     first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
     m = _panel_counts(lo, hi, w_cap, w_rel)
     counts = np.add.reduceat(m, first[:-1]).tolist()
@@ -157,32 +155,14 @@ def _integrate_pass(integrand, a, pieces, w_cap, w_rel):
                 f"resolving the envelope on [{piece[0]:.3g}, {piece[-1]:.3g}] "
                 f"needs {count:.3g} quadrature panels (limit {_MAX_PANELS})"
             )
-    m = m.astype(np.int64)
     counts = [int(count) for count in counts]
-    vals, owners = [], []
-    for g0, g1 in _groups(counts):
-        i0, i1 = first[g0], first[g1]
-        p_lo, p_hi, owner = _panelize(lo[i0:i1], hi[i0:i1], m[i0:i1])
-        a_panel = a[g0] if g1 - g0 == 1 else a[g0:g1].repeat(counts[g0:g1])[:, None]
-        vals.append(_gl_integrate(integrand, p_lo, p_hi, a_panel))
-        owners.append(owner + i0 if i0 else owner)
-    if len(vals) > 1:
-        return np.concatenate(vals), np.concatenate(owners), counts
-    return vals[0], owners[0], counts
-
-
-def _groups(counts):
-    """Runs (start, stop) of consecutive radii whose counts sum to at most _PASS_PANELS.
-
-    A radius whose count alone exceeds it forms a run of its own.
-    """
-    start, total = 0, 0
-    for j, count in enumerate(counts):
-        if total + count > _PASS_PANELS and j > start:
-            yield start, j
-            start, total = j, 0
-        total += count
-    yield start, len(counts)
+    p_lo, p_hi, owner = _panelize(lo, hi, m.astype(np.int64))
+    a_panel = np.repeat(a, counts)[:, None]
+    vals = []
+    for k in range(0, len(owner), _PASS_PANELS):
+        part = slice(k, k + _PASS_PANELS)
+        vals.append(_gl_integrate(integrand, p_lo[part], p_hi[part], a_panel[part]))
+    return np.concatenate(vals), owner, counts
 
 
 def _wynn_epsilon(partial_sums):
@@ -263,8 +243,8 @@ def radial_inverse_fourier(
     be negligible; ``envelope_rel`` relaxes the cap proportionally to r for
     symbols that flatten out (in the logarithmic sense) away from the origin.
     """
-    return _inverse_fourier(symbol, [x_norm], n, quad, envelope_scale, r_max,
-                            envelope_rel)[0]
+    return radial_inverse_fourier_many(symbol, [x_norm], n, quad, envelope_scale,
+                                       r_max, envelope_rel)[0]
 
 
 def radial_inverse_fourier_many(
@@ -280,14 +260,9 @@ def radial_inverse_fourier_many(
     x_norms = np.asarray(x_norms, dtype=float)
     if x_norms.ndim != 1:
         raise ValueError("x_norms must be a 1-D array")
-    return _inverse_fourier(symbol, x_norms.tolist(), n, quad, envelope_scale, r_max,
-                            envelope_rel)
-
-
-def _inverse_fourier(symbol, xs, n, quad, envelope_scale, r_max, envelope_rel):
-    """The engine of both entry points: values at the radii ``xs``, a list."""
-    if any(x < 0 for x in xs):
-        raise ValueError("x_norm must be nonnegative")
+    xs = x_norms.tolist()
+    if not all(0.0 <= x < math.inf for x in xs):
+        raise ValueError("x_norm must be finite and nonnegative")
     out = np.empty(len(xs))
     at_origin = [i for i, x in enumerate(xs) if x == 0.0]
     if at_origin:
@@ -296,8 +271,8 @@ def _inverse_fourier(symbol, xs, n, quad, envelope_scale, r_max, envelope_rel):
     w_cap = np.inf if envelope_scale is None else max(envelope_scale / 2.0, 1e-8)
     for c in range(0, len(rest), _BATCH):
         chunk = rest[c : c + _BATCH]
-        out[chunk] = _batch(symbol, [float(xs[i]) for i in chunk], n, quad, w_cap,
-                            r_max, envelope_rel)
+        out[chunk] = _batch(symbol, [xs[i] for i in chunk], n, quad, w_cap, r_max,
+                            envelope_rel)
     return out
 
 

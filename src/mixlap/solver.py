@@ -44,6 +44,7 @@ symbol from ``spectral.grid_symbol``, whose one cache holds at most the two
 of a solve and is cleared when the solve returns.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -90,6 +91,8 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if not (math.isfinite(self.perturb) and self.perturb >= 0.0):
+            raise ValueError(f"perturb must be finite and nonnegative, got {self.perturb}")
 
     @property
     def gamma_stab(self):

@@ -9,9 +9,9 @@ J_{1/2}(x) = sqrt(2/(pi x)) sin x, and J_0 and J_1 from scipy's j0 and j1,
 each about ten times cheaper per point than scipy's jv at the same order.
 Every other order uses jv.
 
-Half-integer zeros come from the trigonometric closed forms; integer orders
-use scipy's dedicated routine; other real orders fall back to McMahon
-asymptotics refined by bracketed root finding.
+The zeros of J_{-1/2} and J_{1/2} come from the trigonometric closed forms;
+integer orders use scipy's dedicated routine; other real orders fall back to
+McMahon asymptotics refined by bracketed root finding.
 """
 
 import numpy as np

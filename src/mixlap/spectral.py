@@ -106,6 +106,9 @@ class EvenGrid(GridSpec):
     def shape(self):
         return (self.N // 2 + 1,) * self.n
 
+    def axis(self):
+        return self.spacing * np.arange(self.N // 2 + 1)
+
     @property
     def full(self):
         """The full layout of the same box."""

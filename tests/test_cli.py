@@ -225,6 +225,16 @@ class TestSolveAnalyze:
         assert code == 0
         assert read_json(out / "solve-report.json")["residual_linf"] < 1e-8
 
+    @pytest.mark.parametrize("perturb", ["-0.5", "nan"])
+    def test_invalid_perturb_is_usage_error(self, tmp_path, capsys, perturb):
+        # it was ignored: the solve ran unperturbed and its manifest recorded it
+        out = tmp_path / "bad"
+        code = main(["solve", "--n", "2", "--s", "0.5", "--p", "3", "--L", "15",
+                     "--N", "64", "--perturb", perturb, "--output-dir", str(out)])
+        assert code == 2
+        assert "perturb" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_grid_is_usage_error(self, tmp_path):
         code = main([
             "solve", "--n", "2", "--s", "0.5", "--p", "3",
@@ -260,6 +270,22 @@ class TestAsymptotics:
             return row["eta"], row["radius"]
 
         assert sorted(rows["100,20,50"], key=key) == sorted(rows["20,50,100"], key=key)
+
+    @pytest.mark.parametrize("args, option", [
+        pytest.param(["--radii", ","], "--radii", id="radii-empty"),
+        pytest.param(["--radii", "20,inf"], "--radii", id="radii-inf"),
+        pytest.param(["--eta", ","], "--eta", id="eta-empty"),
+        pytest.param(["--eta", "nan"], "--eta", id="eta-nan"),
+    ])
+    def test_empty_or_nonfinite_list_is_usage_error(self, tmp_path, capsys, args, option):
+        # an empty list passed with no rows, and a NaN weight passed because
+        # max(worst, nan) keeps worst
+        out = tmp_path / "asym"
+        code = main(["asymptotics", "--n", "2", "--s", "0.5", "--output-dir", str(out),
+                     *args])
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -66,6 +66,16 @@ class TestEngineContracts:
         with pytest.raises(ValueError):
             radial_inverse_fourier(gaussian_symbol(1.0), -0.5, 2)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_radius_rejected(self, x):
+        message = "must be finite and nonnegative"
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier(gaussian_symbol(1.0), x, 2)
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5, x], 2)
+        with pytest.raises(ValueError, match=message):
+            kernels.heat_kernel(x, 1.0, KernelParams(2, 0.5))
+
     def test_accuracy_error_carries_estimate(self):
         # eight zeros of a slowly decaying envelope cannot meet tolerance
         quad = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_zeros=8)
@@ -195,14 +205,29 @@ class TestBatch:
         assert got.tolist() == ref
         assert got == pytest.approx(np.pi * np.exp(-np.pi ** 2 * radii ** 2), rel=1e-8)
 
-    def test_panel_groups_change_nothing(self, monkeypatch):
+    def test_panel_slices_change_nothing(self, monkeypatch):
         # a pass whose radii need more than _PASS_PANELS panels in all is
-        # integrated in groups of radii
+        # integrated in slices of panels, which split radii between them
         radii = np.geomspace(0.05, 20.0, 9)
         ref = radial_inverse_fourier_many(rational_symbol, radii, 2, **RATIONAL)
         monkeypatch.setattr(inversion, "_PASS_PANELS", 40)
         got = radial_inverse_fourier_many(rational_symbol, radii, 2, **RATIONAL)
         assert got.tolist() == ref.tolist()
+
+    def test_one_heavy_radius_is_integrated_in_slices(self, monkeypatch):
+        # the heat kernel's head at t = 5, s = 0.1, |x| = 0.01 has 21,681
+        # panels; held in one integrand call they peaked at 20.7 MiB
+        params = KernelParams(1, 0.1)
+        ref = kernels.heat_kernel(0.01, 5.0, params)
+        monkeypatch.setattr(inversion, "_PASS_PANELS", 2048)
+        tracemalloc.start()
+        try:
+            got = kernels.heat_kernel(0.01, 5.0, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ref
+        assert peak < 4 * 2 ** 20
 
     def test_one_radius_that_cannot_converge_raises(self):
         # with 14 zeros, |x| = 0.05 converges and |x| = 0.3 does not

@@ -1,5 +1,6 @@
 """Petviashvili ground-state solver: step algebra, convergence, diagnostics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,11 @@ class TestConfig:
             V.SolverConfig(p=1.0)
         with pytest.raises(ValueError):
             V.SolverConfig(p=3.0, tol_residual=0.0)
+
+    @pytest.mark.parametrize("perturb", [-0.5, math.nan, math.inf])
+    def test_perturb_must_be_finite_and_nonnegative(self, perturb):
+        with pytest.raises(ValueError, match="perturb"):
+            V.SolverConfig(p=3.0, perturb=perturb)
 
     def test_subcriticality(self):
         V.SolverConfig(p=4.9).check_subcritical(3)

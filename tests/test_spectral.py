@@ -270,6 +270,15 @@ class TestEvenLayout:
         for name in ("w_sq", "resolvent"):
             assert np.array_equal(getattr(even, name), getattr(full, name)[head]), name
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coordinates_have_the_even_shape(self, n):
+        grid = S.EvenGrid(n, 10.0, 16)
+        assert grid.axis().shape == (grid.N // 2 + 1,)
+        for coords in (*grid.meshgrid(), grid.radius()):
+            assert coords.shape == grid.shape
+        got = S.expand_even(S.RealField(grid, grid.radius())).data
+        np.testing.assert_allclose(got, grid.full.radius(), rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("grid", GRIDS, ids=["n2", "n3"])
     def test_reduce_and_expand_are_inverse_on_even_fields(self, grid):
         half, full = self.mirrored(grid, 18)
