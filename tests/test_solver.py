@@ -204,11 +204,12 @@ def shifted_start(grid, cfg, shift=(7, -4)):
 
 
 def count_transforms(monkeypatch, *names):
-    """Count the calls of the named scipy.fft functions, by name."""
+    """Count the calls of the named scipy.fft functions, and of spectral's
+    dense DCT-I ``_dct1``, by name."""
     calls = dict.fromkeys(names, 0)
 
-    def counted(name):
-        original = getattr(S.fft, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -216,7 +217,8 @@ def count_transforms(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(S.fft, name, counted(name))
+        module = S if name == "_dct1" else S.fft
+        monkeypatch.setattr(module, name, counted(module, name))
     return calls
 
 
@@ -251,17 +253,25 @@ class TestTransformBudget:
         assert report.energy == V.energy_plus(u, P2, cfg)
 
     def test_two_dct_transforms_per_even_step(self, monkeypatch):
-        calls = count_transforms(monkeypatch, "rfftn", "irfftn", "dctn", "idctn")
-        grid = S.GridSpec(2, 15.0, 64)
+        # N = 64 (33 points an axis) applies the DCT-I as dense products, one
+        # _dct1 call each way; N = 256 (129 points) calls scipy.fft
         cfg = V.SolverConfig(p=3.0)
-        u, report = V.solve_ground_state(grid, P2, cfg)
-        assert report.converged
-        # the even layout's pairs: apply_operator at the start and the
-        # resolvent of every step; on the full box only the confirming
-        # gradient_plus (rfftn + irfftn) and the report's norms (rfftn)
-        assert calls["dctn"] == calls["idctn"] == report.iterations + 1
-        assert calls["rfftn"] == 2 and calls["irfftn"] == 1
-        assert u.grid == grid
+        for N, dense in ((64, True), (256, False)):
+            calls = count_transforms(monkeypatch, "rfftn", "irfftn", "dctn", "idctn",
+                                     "_dct1")
+            grid = S.GridSpec(2, 15.0, N)
+            u, report = V.solve_ground_state(grid, P2, cfg)
+            assert report.converged
+            # the even layout's pairs: apply_operator at the start and the
+            # resolvent of every step; on the full box only the confirming
+            # gradient_plus (rfftn + irfftn) and the report's norms (rfftn)
+            pairs = calls["_dct1"] / 2 if dense else calls["dctn"]
+            assert pairs == report.iterations + 1
+            assert calls["dctn"] == calls["idctn"] == (0 if dense else pairs)
+            assert calls["_dct1"] == (2 * pairs if dense else 0)
+            assert calls["rfftn"] == 2 and calls["irfftn"] == 1
+            assert u.grid == grid
+            monkeypatch.undo()
 
     def test_identity_residual_matches_gradient(self, monkeypatch):
         grid = S.GridSpec(2, 15.0, 64)

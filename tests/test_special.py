@@ -86,27 +86,30 @@ class TestBesselJ:
 
 
 def _closed_form_points(nu):
-    """x from 1e-10 to 2000, plus points at and next to zeros of J_nu."""
+    """x from 1e-10 to 2000, plus points at and next to zeros of J_nu and at
+    either side of x = 1, where J_{3/2} leaves its series."""
     zeros = bessel_j_zeros(nu, 640)  # the 640th zero is near 2010
     zeros = zeros[zeros < 2000.0][::16]
     near = np.concatenate([zeros, zeros * (1 + 1e-9), zeros - 1e-4, zeros + 1e-3])
-    return np.concatenate([np.logspace(-10, np.log10(2000.0), 120), near])
+    switch = [np.nextafter(1.0, 0.0), 1.0]
+    return np.concatenate([np.logspace(-10, np.log10(2000.0), 120), near, switch])
 
 
 class TestBesselJClosedForms:
-    """J_{-1/2}, J_{1/2}, J_0 and J_1 are evaluated without scipy's jv."""
+    """J_{-1/2}, J_{1/2}, J_{3/2}, J_0 and J_1 are evaluated without scipy's jv."""
 
-    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5])
     def test_against_mpmath(self, nu):
         x = _closed_form_points(nu)
         got = bessel_j(nu, x)
         with mp.workdps(30):
             ref = np.array([float(mp.besselj(nu, mp.mpf(v))) for v in x])
         # scipy's j0 and j1 reach 2e-13 relative where |J| > 1e-3 and 2e-15
-        # absolute next to their zeros; the trigonometric forms 3e-16 relative
+        # absolute next to their zeros; the trigonometric forms 3e-16 relative,
+        # J_{3/2} also across its switch from the series at x = 1
         assert got == pytest.approx(ref, rel=1e-11, abs=1e-14)
 
-    @pytest.mark.parametrize("nu, value", [(0.0, 1.0), (0.5, 0.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("nu, value", [(0.0, 1.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0)])
     def test_at_zero_without_warning(self, nu, value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -121,14 +124,14 @@ class TestBesselJClosedForms:
             with pytest.raises(FloatingPointError):
                 bessel_j(-0.5, np.array([1.0, 0.0]))
 
-    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.5])
     def test_scalar_and_array_types(self, nu):
         assert type(bessel_j(nu, 1.5)) is float
         assert type(bessel_j(nu, np.float64(1.5))) is float
         out = bessel_j(nu, np.array([1.5, 2.5]))
         assert isinstance(out, np.ndarray) and out.shape == (2,)
 
-    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5])
     def test_domain_error(self, nu):
         with pytest.raises(ValueError):
             bessel_j(nu, np.array([1.0, -1e-300]))

@@ -271,6 +271,42 @@ class TestEvenLayout:
             assert np.array_equal(getattr(even, name), getattr(full, name)[head]), name
 
     @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    def test_dense_dct_matches_scipy(self, n, N):
+        # 9 to 65 points an axis: the record's matrix applies the DCT-I pair
+        dct = S.grid_symbol(S.EvenGrid(n, 10.0, N), 0.5).dct
+        x = np.random.default_rng(N + n).standard_normal((N // 2 + 1,) * n)
+        ref = S.fft.dctn(x, type=1)
+        got = S._dct1(x, dct)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = S.fft.idctn(x, type=1)
+        got = S._dct1(x, dct / N)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, N, dense", [(2, 64, True), (3, 64, True), (2, 256, False)])
+    def test_transform_path_follows_the_axis_length(self, monkeypatch, n, N, dense):
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("dctn", "idctn"):
+            monkeypatch.setattr(S.fft, name, counted(getattr(S.fft, name)))
+        half, full = self.mirrored(S.GridSpec(n, 10.0, N), 19)
+        sym = S.grid_symbol(half.grid, P2.s)
+        assert (sym.dct is not None) == dense
+        if dense:
+            assert not sym.dct.flags.writeable
+        out = S.apply_resolvent(half, P2)
+        assert len(calls) == (0 if dense else 2)
+        ref = S.apply_resolvent(full, P2).data
+        got = S.expand_even(out).data
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_coordinates_have_the_even_shape(self, n):
         grid = S.EvenGrid(n, 10.0, 16)
         assert grid.axis().shape == (grid.N // 2 + 1,)
