@@ -249,12 +249,19 @@ def _cmd_analyze(args):
     prof = analysis.radial_average(u, params=params)
     # keep at least a 3-unit fit window on small boxes
     fit_lo = max(2.0, min(5.0, guard - 3.0))
-    fit = analysis.decay_fit(prof, (fit_lo, guard), params=params)
-    tol = 0.1 * abs(fit.expected_slope)
-    records.append(analysis.check_report(
-        "decay-slope", fit.slope, fit.expected_slope,
-        abs(fit.slope - fit.expected_slope) < tol, window=fit.window,
-        c_lower=fit.c_lower, c_upper=fit.c_upper))
+    try:
+        fit = analysis.decay_fit(prof, (fit_lo, guard), params=params)
+    except (ValueError, MixlapError) as exc:
+        # a fit that cannot run fails its own record, not the command
+        records.append(analysis.check_report(
+            "decay-slope", None, -(params.n + 2.0 * params.s), False,
+            window=(fit_lo, guard), detail=str(exc)))
+    else:
+        tol = 0.1 * abs(fit.expected_slope)
+        records.append(analysis.check_report(
+            "decay-slope", fit.slope, fit.expected_slope,
+            abs(fit.slope - fit.expected_slope) < tol, window=fit.window,
+            c_lower=fit.c_lower, c_upper=fit.c_upper))
 
     sub = analysis.barrier_subsolution(params, quad)
     sup = analysis.barrier_supersolution(params, quad)

@@ -20,26 +20,33 @@ a sum that has not converged by then raises ``AccuracyError``, as does a
 head or block whose envelope would need more than ``_MAX_PANELS`` panels.
 
 Batches of radii.  ``radial_inverse_fourier_many`` evaluates one symbol at
-an array of radii in one pass.  The graded heads of all radii are panelized
-together and integrated as one run of panels, with a = 2 pi |x| set per
-panel; then each block of every radius still summing is handled the same
-way, and one ``bincount`` over (radius, interval) maps the panels back to
-their terms.  Everything that decides a value stays per radius: the stopping
+an array of radii in one pass.  Since the Wynn stop needs two blocks'
+extrapolations, no sum can stop by Wynn before its second block, so the
+first pass panelizes every radius's graded head together with its first two
+blocks and integrates them as one run of panels, with a = 2 pi |x| set per
+panel.  The loop's first two tests read their terms from that pass; each
+later block of every radius still summing gets a pass of its own.  One
+``bincount`` over (radius, interval) maps a pass's panels back to their
+terms.  Everything that decides a value stays per radius: the stopping
 tests, the tolerances, the panel refusal, ``r_max``, x = 0 and
-``AccuracyError``.  Each panel, term and partial sum is the one a one-radius
-call computes, so every value is bitwise equal to ``radial_inverse_fourier``
-at that radius, which is this engine on one radius.
+``AccuracyError``.  A second block over ``_MAX_PANELS`` stays out of the
+first pass and is refused only if its radius reaches it, as a head or first
+block over the limit is refused in the first pass.  Each panel, term and
+partial sum is the one a one-radius call computes, so every value is bitwise
+equal to ``radial_inverse_fourier`` at that radius, which is this engine on
+one radius.
 
 Memory.  Integrating a panel holds about 1 kB (nodes, symbol and Bessel
 values at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a
-typical radius needs a few hundred panels a pass, and a chunk of 16 stays
-near 1 MiB, where the 1,932 radii of a Plancherel tabulation in one pass
-reach 88 MiB.  Where radii need many panels (the heat kernel at large t and
-small |x| needs 10^4 to 10^5 a radius), a pass integrates its panels in
-consecutive slices of ``_PASS_PANELS``, one integrand call a slice, so the
-integrand's arrays never exceed about 64 MiB, however many panels one radius
-needs.  Only each panel's ends, interval and 2 pi |x|, about 32 B a panel,
-are held for the whole pass.
+typical radius needs a few hundred panels for its head and two blocks, and a
+chunk of 16 stays near 1 MiB, where the 1,932 radii of a Plancherel
+tabulation in one pass reach 88 MiB.  Where radii need many panels (the heat
+kernel at large t and small |x| needs 10^4 to 10^5 a radius), a pass
+integrates its panels in consecutive slices of ``_PASS_PANELS``, one
+integrand call a slice, so the integrand's arrays never exceed about 64 MiB,
+however many panels one radius needs.  Only each panel's ends, interval and
+2 pi |x|, about 32 B a panel, are held for the whole pass: for the heads and
+two blocks in the first pass, one block a radius in a later one.
 """
 
 import functools
@@ -61,8 +68,9 @@ _BLOCK = 16  # zero intervals integrated between two convergence tests
 _BATCH = 16  # radii integrated together (module docstring, "Memory")
 _PASS_PANELS = 65_536  # most panels integrated by one integrand call
 # Most panels one radius's head or block may need.  It bounds the work of one
-# piece and the panel ends a pass holds (about 32 B a panel, so near 64 MB);
-# the integrand's arrays are bounded by _PASS_PANELS.  The largest piece the
+# piece and the panel ends a pass holds for it (about 32 B a panel, so near
+# 64 MB; the first pass holds a head and two blocks a radius); the
+# integrand's arrays are bounded by _PASS_PANELS.  The largest piece the
 # test suite builds, the heat kernel's head at t = 5, s = 0.1, |x| = 0.01, cut
 # at r_max = 3.46, has 21,681 panels.
 _MAX_PANELS = 2_000_000
@@ -134,15 +142,17 @@ def _gl_integrate(integrand, los, his, a):
 
 
 def _integrate_pass(integrand, a, pieces, w_cap, w_rel):
-    """Panel integrals over the intervals of several radii, ``_PASS_PANELS`` at a time.
+    """Panel integrals over the intervals of several pieces, ``_PASS_PANELS`` at a time.
 
-    ``pieces[j]`` holds the breaks of radius j's intervals and a[j] is its
-    2 pi |x|.  The panels of all intervals are built at once and integrated
-    in consecutive slices of ``_PASS_PANELS`` panels, one integrand call a
+    ``pieces[i]`` holds the breaks of a run of intervals (a head or a block)
+    and a[i] is the 2 pi |x| of its radius; one radius may own several
+    pieces.  The panels of all intervals are built at once and integrated in
+    consecutive slices of ``_PASS_PANELS`` panels, one integrand call a
     slice, whichever radius each panel belongs to.  Returns the panel
     integrals, each panel's interval (numbered across all pieces, in order)
-    and each radius's panel count.  Raises ``AccuracyError`` before building
-    any panel if one radius's intervals would need more than ``_MAX_PANELS``.
+    and each piece's panel count.  Raises ``AccuracyError`` before building
+    any panel if one piece, checked in order, would need more than
+    ``_MAX_PANELS``.
     """
     lo = np.concatenate([b[:-1] for b in pieces])
     hi = np.concatenate([b[1:] for b in pieces])
@@ -277,7 +287,7 @@ def radial_inverse_fourier_many(
 
 
 def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
-    """Values at up to ``_BATCH`` positive radii ``xs``: heads, then blocks."""
+    """Values at up to ``_BATCH`` positive radii ``xs``: heads and two blocks, then blocks."""
     nu = n / 2.0 - 1.0
 
     def integrand(r, ar):
@@ -302,19 +312,39 @@ def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
         zeros.append(z)
         head_hi.append(z[0])
 
-    # heads: [0, first zero] (or [0, r_max]), graded toward the origin
-    vals, _, per_radius = _integrate_pass(
-        integrand, a, [_head_breaks(hi, w_cap) for hi in head_hi], w_cap, w_rel)
-    ends = list(itertools.accumulate(per_radius, initial=0))
-    head = [vals[ends[j] : ends[j + 1]].sum() for j in range(count)]
+    def integrate(blocks, heads=()):
+        """Head sums and the terms of ``blocks``, (radius, start) pairs, in one pass.
+
+        Heads come first, so a head over ``_MAX_PANELS`` raises before a block.
+        """
+        pieces = list(heads) + [zeros[j][k : k + _BLOCK + 1] for j, k in blocks]
+        radii = list(range(len(heads))) + [j for j, _ in blocks]
+        vals, owner, per_piece = _integrate_pass(integrand, a[radii], pieces, w_cap, w_rel)
+        ends = list(itertools.accumulate(per_piece, initial=0))
+        first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
+        interval_terms = np.bincount(owner, vals)  # one term per interval
+        h = len(heads)
+        return ([vals[ends[i] : ends[i + 1]].sum() for i in range(h)],
+                {block: interval_terms[first[h + i] : first[h + i + 1]]
+                 for i, block in enumerate(blocks)})
+
+    def fits(piece):
+        return _panel_counts(piece[:-1], piece[1:], w_cap, w_rel).sum() <= _MAX_PANELS
+
+    # one pass for the heads, [0, first zero] (or [0, r_max]) graded toward the
+    # origin, and the first two blocks of zero intervals: no radius can stop by
+    # Wynn before its second block.  A second block over _MAX_PANELS waits for
+    # the loop, so that only a radius that reaches it raises.
+    active = [j for j in range(count) if zeros[j] is not None]
+    blocks = [(j, 0) for j in active] + [
+        (j, _BLOCK) for j in active
+        if len(zeros[j]) - 1 > _BLOCK and fits(zeros[j][_BLOCK : 2 * _BLOCK + 1])]
+    head, ready = integrate(blocks, [_head_breaks(hi, w_cap) for hi in head_hi])
 
     out = np.empty(count)
-    active = []
     for j in range(count):
         if zeros[j] is None:
             out[j] = pref[j] * head[j]
-        else:
-            active.append(j)
     abs_floor = [quad.abs_tol / max(abs(p), 1e-300) for p in pref]
     terms = [np.empty(0)] * count
     previous = [np.nan] * count  # no extrapolation yet: Wynn cannot stop the first block
@@ -323,13 +353,12 @@ def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
     # integrated a block of intervals at a time until each sum has converged
     start = 0
     while active:
-        pieces = [zeros[j][start : start + _BLOCK + 1] for j in active]
-        vals, owner, _ = _integrate_pass(integrand, a[active], pieces, w_cap, w_rel)
-        block_terms = np.bincount(owner, vals)
-        first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
+        missing = [(j, start) for j in active if (j, start) not in ready]
+        if missing:
+            ready.update(integrate(missing)[1])
         still = []
-        for slot, j in enumerate(active):
-            terms[j] = np.concatenate((terms[j], block_terms[first[slot] : first[slot + 1]]))
+        for j in active:
+            terms[j] = np.concatenate((terms[j], ready.pop((j, start))))
             sums = head[j] + np.cumsum(terms[j])
 
             # plain summation if the envelope has already killed the tail

@@ -157,6 +157,37 @@ class TestSolveAnalyze:
         assert by_check["radial-symmetry"]["pass"]
         assert by_check["decay-slope"]["pass"]
 
+    def test_decay_fit_that_cannot_run_fails_its_record(self, tmp_path):
+        # the 3-D N = 64 field has 7 shells in the fit window, fewer than 8
+        out = tmp_path / "solve"
+        assert main(["solve", "--n", "3", "--s", "0.5", "--p", "2", "--L", "15",
+                     "--N", "64", "--output-dir", str(out)]) == 0
+        out2 = tmp_path / "analyze"
+        code = main(["analyze", "--field", str(out / "ground_state.bin"),
+                     "--output-dir", str(out2)])
+        assert code == 1
+        by_check = {rec["check"]: rec for rec in read_json(out2 / "analyze.json")}
+        decay = by_check["decay-slope"]
+        assert decay["pass"] is False and decay["statistic"] is None
+        assert decay["detail"] == "decay fit needs >= 8 radii in the window, got 7"
+        assert by_check["positivity"]["pass"] and by_check["field-residual"]["pass"]
+        assert {"radial-symmetry", "barrier-subsolution",
+                "barrier-supersolution"} <= by_check.keys()
+        assert read_json(out2 / "manifest.json")["pass"] is False
+
+    def test_nonpositive_fit_window_fails_its_record(self, tmp_path):
+        # u = 1 - |x|/8 turns negative inside the fit window (5, 12)
+        grid = spectral.GridSpec(2, 30.0, 128)
+        path = tmp_path / "u.bin"
+        spectral.write_field(path, spectral.RealField(grid, 1.0 - grid.radius() / 8.0),
+                             s=0.5, p=3.0)
+        out = tmp_path / "an"
+        assert main(["analyze", "--field", str(path), "--output-dir", str(out)]) == 1
+        by_check = {rec["check"]: rec for rec in read_json(out / "analyze.json")}
+        assert by_check["decay-slope"]["pass"] is False
+        assert "nonpositive" in by_check["decay-slope"]["detail"]
+        assert by_check["positivity"]["pass"] is False
+
     def test_non_convergence_exit_code(self, tmp_path):
         code = main([
             "solve", "--n", "2", "--s", "0.5", "--p", "3",

@@ -1,5 +1,6 @@
 """Radial Fourier inversion engine against closed-form transforms."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -350,6 +351,177 @@ class TestVectorisedEngine:
         monkeypatch.setattr(inversion, "_first_settled", reference_first_settled)
         ref = [ev(x) for ev in evaluators for x in radii]
         assert got == ref
+
+
+# ---------------------------------------------------------------------------
+# the fused first pass against the per-block engine it replaced
+
+
+def reference_batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
+    """The engine that integrated the heads in one pass and each block in another."""
+    nu = n / 2.0 - 1.0
+
+    def integrand(r, ar):
+        return symbol(r) * r ** (n / 2.0) * inversion.bessel_j(nu, ar)
+
+    count = len(xs)
+    a = np.array([2.0 * np.pi * x for x in xs])
+    pref = [2.0 * np.pi * x ** (1.0 - n / 2.0) for x in xs]
+    unit_zeros = inversion._cached_zeros(float(nu), int(quad.max_zeros))
+    zeros, head_hi = [], []
+    for j in range(count):
+        z = unit_zeros / a[j]
+        if r_max is not None and r_max < z[0]:
+            zeros.append(None)
+            head_hi.append(r_max)
+            continue
+        if r_max is not None and z[-1] > r_max:
+            keep = max(6, int(np.searchsorted(z, r_max)) + 1)
+            z = z[: min(keep, len(z))]
+        zeros.append(z)
+        head_hi.append(z[0])
+
+    vals, _, per_radius = inversion._integrate_pass(
+        integrand, a, [inversion._head_breaks(hi, w_cap) for hi in head_hi], w_cap, w_rel)
+    ends = list(itertools.accumulate(per_radius, initial=0))
+    head = [vals[ends[j] : ends[j + 1]].sum() for j in range(count)]
+
+    out = np.empty(count)
+    active = []
+    for j in range(count):
+        if zeros[j] is None:
+            out[j] = pref[j] * head[j]
+        else:
+            active.append(j)
+    abs_floor = [quad.abs_tol / max(abs(p), 1e-300) for p in pref]
+    terms = [np.empty(0)] * count
+    previous = [np.nan] * count
+
+    block = inversion._BLOCK
+    start = 0
+    while active:
+        pieces = [zeros[j][start : start + block + 1] for j in active]
+        vals, owner, _ = inversion._integrate_pass(integrand, a[active], pieces, w_cap, w_rel)
+        block_terms = np.bincount(owner, vals)
+        first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
+        still = []
+        for slot, j in enumerate(active):
+            terms[j] = np.concatenate((terms[j], block_terms[first[slot] : first[slot + 1]]))
+            sums = head[j] + np.cumsum(terms[j])
+            k = inversion._first_settled(np.abs(terms[j]), sums, abs_floor[j], quad.rel_tol)
+            if k is not None:
+                out[j] = pref[j] * sums[k]
+                continue
+            value, est = inversion._wynn_epsilon(sums[-40:])
+            tol = max(abs_floor[j], quad.rel_tol * abs(value))
+            if est <= tol and abs(value - previous[j]) <= tol:
+                out[j] = pref[j] * value
+                continue
+            previous[j] = value
+            if start + block < len(zeros[j]) - 1:
+                still.append(j)
+            elif est > tol:
+                raise AccuracyError(
+                    "accelerated Hankel summation did not converge "
+                    f"(error ~ {pref[j] * est:.3e})",
+                    achieved=pref[j] * est,
+                )
+            else:
+                out[j] = pref[j] * value
+        active = still
+        start += block
+    return out
+
+
+# heat at t = 1 cuts the partition at r_max = 7.75: |x| = 1.5 and 2 keep 24 and
+# 32 zeros, so their second blocks are short; small radii keep 6
+SWEEP_RADII = np.sort(np.concatenate((np.geomspace(0.01, 100.0, 9), [1.5, 2.0])))
+
+
+def sweep_outcomes(n):
+    outcomes = []
+    for s in (0.1, 0.5, 0.95):
+        params = KernelParams(n, s)
+        for evaluate in (
+            lambda: kernels.heat_kernel(SWEEP_RADII, 1.0, params),
+            lambda: kernels.bessel_kernel(SWEEP_RADII, params),
+            lambda: kernels.bessel_kernel_shifted(SWEEP_RADII, 0.3, params),
+            lambda: kernels.resolvent_multiplier_kernel(SWEEP_RADII, params),
+        ):
+            try:
+                outcomes.append(evaluate().tolist())
+            except AccuracyError as exc:
+                outcomes.append((str(exc), exc.achieved))
+    return outcomes
+
+
+class TestFusedFirstPass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_per_block_engine(self, n, monkeypatch):
+        stops = []  # (partial sums seen, plain exit taken) at every test
+        first_settled = inversion._first_settled
+
+        def recording(tail_mag, sums, abs_floor, rel_tol):
+            k = first_settled(tail_mag, sums, abs_floor, rel_tol)
+            stops.append((len(sums), k is not None))
+            return k
+
+        monkeypatch.setattr(inversion, "_first_settled", recording)
+        got = sweep_outcomes(n)
+        block = inversion._BLOCK
+        # radii that settle inside a full first block, and partitions of fewer
+        # than 33 zeros that reach their short second block
+        assert (block, True) in stops
+        assert any(block < size < 2 * block for size, _ in stops)
+        monkeypatch.setattr(inversion, "_batch", reference_batch)
+        assert got == sweep_outcomes(n)
+
+    def test_radii_that_stop_by_block_two_take_one_pass(self, monkeypatch):
+        passes = []
+        integrate_pass = inversion._integrate_pass
+
+        def counting(*args):
+            passes.append(len(args[2]))
+            return integrate_pass(*args)
+
+        monkeypatch.setattr(inversion, "_integrate_pass", counting)
+        got = kernels.bessel_kernel(np.array([0.5, 1.0, 2.0]), KernelParams(2, 0.5))
+        # three heads and six blocks; the per-block engine took three passes
+        assert passes == [9]
+        monkeypatch.setattr(inversion, "_batch", reference_batch)
+        assert got.tolist() == kernels.bessel_kernel(np.array([0.5, 1.0, 2.0]),
+                                                     KernelParams(2, 0.5)).tolist()
+
+    def oversized_second_block(self, monkeypatch):
+        # n = 2: the intervals between zeros of J_0 lengthen toward pi, so at
+        # |x| = 0.5 and width cap 5e-3 the second block needs one panel more
+        # than the first; the limit admits the head and the first block only
+        w_cap, x = 5e-3, 0.5
+        zeros = inversion._cached_zeros(0.0, 400) / (2.0 * np.pi * x)
+        block = inversion._BLOCK
+
+        def panels(breaks):
+            return inversion._panel_counts(breaks[:-1], breaks[1:], w_cap, 0.0).sum()
+
+        head = panels(inversion._head_breaks(zeros[0], w_cap))
+        first, second = panels(zeros[: block + 1]), panels(zeros[block : 2 * block + 1])
+        assert (head, first, second) == (184, 3199, 3200)
+        monkeypatch.setattr(inversion, "_MAX_PANELS", int(max(head, first)))
+        return x, {"envelope_scale": 2.0 * w_cap}
+
+    def test_oversized_second_block_is_not_built_for_a_settled_radius(self, monkeypatch):
+        ref = radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=1e-2)
+        x, options = self.oversized_second_block(monkeypatch)
+        assert radial_inverse_fourier(gaussian_symbol(1.0), x, 2, **options) == ref
+        assert ref == pytest.approx(np.pi * np.exp(-np.pi ** 2 * 0.25), rel=1e-8)
+
+    def test_oversized_second_block_raises_where_it_is_needed(self, monkeypatch):
+        x, options = self.oversized_second_block(monkeypatch)
+        # the rational symbol's sum is still moving after its first block
+        with pytest.raises(AccuracyError, match="needs 3.2e\\+03 quadrature panels"):
+            radial_inverse_fourier(rational_symbol, x, 2, **options)
+        with pytest.raises(AccuracyError, match="needs 3.2e\\+03 quadrature panels"):
+            radial_inverse_fourier_many(rational_symbol, [x, 0.5], 2, **options)
 
 
 def reference_wynn_epsilon(partial_sums):
