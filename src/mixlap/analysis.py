@@ -2,11 +2,12 @@
 
 Checks positivity, radial symmetry and the two-sided power decay with
 exponent n + 2s on solver output, and constructs the sub/supersolution
-barriers whose tails bracket the solution's decay.  The symmetry audit
-groups grid points into orbits exactly, by their integer squared grid
-distance from the center.  A barrier is a Bessel-type kernel K_a convolved
-with the indicator of the ball of radius 1/2; each of its values is one
-Hankel transform (``kernels.bessel_kernel_ball``).
+barriers whose tails bracket the solution's decay.  Both field audits, the
+symmetry deviation and the radial average, group grid points into orbits
+exactly, by their integer squared grid distance from the center, and build
+no coordinates.  A barrier is a Bessel-type kernel K_a convolved with the
+indicator of the ball of radius 1/2; each of its values is one Hankel
+transform (``kernels.bessel_kernel_ball``).
 """
 
 from dataclasses import dataclass
@@ -25,13 +26,6 @@ def peak_index(u):
     return np.unravel_index(int(np.argmax(u.data)), u.data.shape)
 
 
-def _center_coords(u, center):
-    if center is None:
-        center = peak_index(u)
-    ax = u.grid.axis()
-    return tuple(float(ax[i]) for i in center)
-
-
 def _orbit_keys(u, center):
     """Squared grid distance sum_i (k_i - c_i)^2 of every point from the center.
 
@@ -47,34 +41,39 @@ def _orbit_keys(u, center):
     return keys
 
 
-def radial_average(u, center=None, shell_width=None, params=None):
+def radial_average(u, center=None, params=None):
     """Shell-averaged radial profile of a field around ``center``.
 
-    ``center`` is a grid index tuple; the default is the field's argmax.
-    Shell width defaults to one grid cell.  ``params`` tags the resulting
-    profile; only the dimension matters for the averaging itself.
+    ``center`` is a grid index tuple; the default is the field's argmax.  The
+    points are grouped by their integer squared grid distance k from the
+    center (``_orbit_keys``), the orbits of ``symmetry_deviation``, and orbit
+    k goes into shell floor(sqrt(k)), one grid step wide, so a point exactly
+    m steps out lies in shell m.  ``params`` tags the resulting profile; only
+    the dimension matters for the averaging itself.
     """
     if params is None:
         params = KernelParams(u.grid.n, 0.5)
-    if shell_width is None:
-        shell_width = u.grid.spacing
-    coords = _center_coords(u, center)
-    r = u.grid.radius(center=coords).ravel()
-    vals = u.data.ravel()
-    nbins = int(np.ceil(r.max() / shell_width)) + 1
-    which = np.minimum((r / shell_width).astype(int), nbins - 1)
-    sums = np.bincount(which, weights=vals, minlength=nbins)
-    counts = np.bincount(which, minlength=nbins)
-    r_sums = np.bincount(which, weights=r, minlength=nbins)
-    mask = counts > 0
+    keys = _orbit_keys(u, center).ravel()
+    counts = np.bincount(keys)
+    sums = np.bincount(keys, weights=u.data.ravel())
+    orbits = np.flatnonzero(counts)
+    counts, sums = counts[orbits], sums[orbits]
+    roots = np.sqrt(orbits)
+    # sqrt is correctly rounded, so below 2^52 its floor is the exact integer
+    # square root: a perfect square maps to its root, and sqrt(m^2 - 1) lies
+    # about 1/(2m) below m, far more than half an ulp of m
+    shell = roots.astype(np.intp)
+    shell_counts = np.bincount(shell, weights=counts)
+    mask = shell_counts > 0
+    shell_counts = shell_counts[mask]
     # report each shell at the mean radius of its points, not the bin
     # center: first-order binning bias cancels for smooth profiles
-    radii = r_sums[mask] / counts[mask]
+    radii = u.grid.spacing * np.bincount(shell, weights=counts * roots)[mask] / shell_counts
     if radii[0] == 0.0:  # center-only shell would break strict monotonicity
         radii[0] = 1e-12
     return RadialProfile(
         radii=radii,
-        values=sums[mask] / counts[mask],
+        values=np.bincount(shell, weights=sums)[mask] / shell_counts,
         params=params,
         label="radial-average",
     )

@@ -21,10 +21,12 @@ each value bitwise equal to the scalar call at that radius; a scalar goes
 through ``inversion.radial_inverse_fourier``.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import rgamma
 
 from .fileio import atomic_write, write_json
 from .inversion import (
@@ -71,9 +73,9 @@ class RadialProfile:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
 
-    def is_nonneg_nonincreasing(self, tol=0.0):
+    def is_nonneg_nonincreasing(self):
         v = self.values
-        return bool(np.all(v >= -tol) and np.all(np.diff(v) <= tol))
+        return bool(np.all(v >= 0.0) and np.all(np.diff(v) <= 0.0))
 
     def write_csv(self, path, quad=None):
         path = str(path)
@@ -415,32 +417,51 @@ def heat_bound_check(points, params, quad=DEFAULT_QUAD):
 # identities used by the verification suites
 
 
-def heat_kernel_mass(t, params, quad=DEFAULT_QUAD, r_max=30.0):
+_MASS_SPLIT = 30.0  # heat_kernel_mass: quadrature inside, far-field series outside
+
+
+def _far_field_coefficient(a, n):
+    """C(a) = pi^{-a-n/2} Gamma((n+a)/2) / Gamma(-a/2): the transform of |xi|^a.
+
+    ``int |xi|^a exp(2 pi i x.xi) d xi = C(a) |x|^{-n-a}`` away from x = 0, so
+    expanding the heat symbol exp(-t (k^2 + k^{2s})) in powers k^{2sj+2m}
+    gives the far field sum_{j,m} (-t)^{j+m} / (j! m!) C(2sj+2m)
+    |x|^{-n-2sj-2m}, up to terms exponentially small in |x|.  C vanishes at
+    even integers a, and -C(2s) is ``heat_tail_constant``.
+    """
+    return np.pi ** (-a - n / 2.0) * gamma((n + a) / 2.0) * rgamma(-a / 2.0)
+
+
+def heat_kernel_mass(t, params, quad=DEFAULT_QUAD):
     """Radial integral of H(., t) over R^n; equals 1 for every t > 0.
 
-    Integrates the kernel out to ``r_max`` by adaptive quadrature and closes
-    with the analytic tail H(x, t, t) ~ t * tail_constant * |x|^{-(n+2s)},
-    whose compensated error at r_max = 30 is below 1%, i.e. the correction
-    itself is accurate to ~1e-5 of the total mass.
+    Integrates the kernel out to R = 30 by adaptive quadrature and closes with
+    the far-field series (``_far_field_coefficient``), whose term in |x|^{-n-a}
+    integrates to R^{-a} / a beyond R.  Its terms j <= 4, m <= 1 leave
+    1.1e-6 of the mass at (n, s) = (3, 0.25) and t <= 2, where the first term
+    alone left 1.3e-2; at (2, 0.1) they still leave 1.3e-3.
     """
     from scipy import integrate
 
-    area = sphere_surface_area(params.n)
+    n, s = params.n, params.s
     val, _ = integrate.quad(
-        lambda r: heat_kernel(r, t, params, quad) * r ** (params.n - 1),
+        lambda r: heat_kernel(r, t, params, quad) * r ** (n - 1),
         0.0,
-        r_max,
+        _MASS_SPLIT,
         epsabs=1e-12,
         epsrel=1e-8,
         limit=300,
     )
-    s = params.s
-    tail = area * t * heat_tail_constant(params) * r_max ** (-2.0 * s) / (2.0 * s)
-    return area * val + tail
+    tail = 0.0
+    for j in range(1, 5):
+        for m in range(2):
+            a = 2.0 * s * j + 2.0 * m
+            tail += ((-t) ** (j + m) / (math.factorial(j) * math.factorial(m))
+                     * _far_field_coefficient(a, n) * _MASS_SPLIT ** -a / a)
+    return sphere_surface_area(n) * (val + tail)
 
 
-def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0,
-                       n_panels=160):
+def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, n_panels=160):
     """Both sides of the Parseval identity for K against Gaussian test functions.
 
     Test function phi(x) = exp(-|x|^2 / sigma^2), whose transform is
@@ -452,9 +473,10 @@ def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, r_min=1e-4, r_max=40.0
     n, s = params.n, params.s
     area = sphere_surface_area(n)
 
-    # spatial side: composite Gauss-Legendre on a geometric panel mesh so the
-    # origin singularity of K (log for n = 2, power for n >= 3) is resolved
-    edges = np.geomspace(r_min, r_max, n_panels + 1)
+    # spatial side: composite Gauss-Legendre on a geometric panel mesh over
+    # [1e-4, 40], after one panel [0, 1e-4], so the origin singularity of K
+    # (log for n = 2, power for n >= 3) is resolved
+    edges = np.geomspace(1e-4, 40.0, n_panels + 1)
     edges = np.concatenate(([0.0], edges))
     gl_x, gl_w = np.polynomial.legendre.leggauss(12)
     nodes, weights = [], []

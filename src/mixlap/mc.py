@@ -80,6 +80,7 @@ from .params import DEFAULT_QUAD, KernelParams, operator_symbol
 from .special import gamma
 
 _MIN_SHELL_COUNT = 50
+_N_SIGMA = 3.0  # a check passes when every statistic is within 3 standard errors
 _SUB_BATCH = 1 << 17  # sampling is split into sub-batches with spawned sub-seeds
 # The statistics walk the points a quarter sub-batch at a time: a block's
 # phases and its 2 pi-scaled rows then take ~2 MB at n = 3 and five frequencies.
@@ -341,7 +342,7 @@ def _char_target(t, params, mode, xis):
     return np.exp(-t * operator_symbol(r ** 2, params.s))
 
 
-def _char_report(t, params, mode, xis, vals, ses, n_sigma):
+def _char_report(t, params, mode, xis, vals, ses):
     target = _char_target(t, params, mode, xis)
     rows = [
         {
@@ -356,13 +357,13 @@ def _char_report(t, params, mode, xis, vals, ses, n_sigma):
     return {
         "check": "characteristic-function",
         "mode": mode,
-        "n_sigma": n_sigma,
+        "n_sigma": _N_SIGMA,
         "frequencies": rows,
-        "pass": bool(all(row["sigmas"] <= n_sigma for row in rows)),
+        "pass": bool(all(row["sigmas"] <= _N_SIGMA for row in rows)),
     }
 
 
-def _density_report(edges, counts, probs, t, n, count, seed, n_sigma):
+def _density_report(edges, counts, probs, t, n, count, seed):
     vols = _shell_volumes(edges, n)
     shells = []
     excluded = []
@@ -392,10 +393,10 @@ def _density_report(edges, counts, probs, t, n, count, seed, n_sigma):
         "t": t,
         "count": count,
         "seed": seed,
-        "n_sigma": n_sigma,
+        "n_sigma": _N_SIGMA,
         "shells": shells,
         "excluded": excluded,
-        "pass": bool(shells) and all(s["sigmas"] <= n_sigma for s in shells),
+        "pass": bool(shells) and all(s["sigmas"] <= _N_SIGMA for s in shells),
     }
 
 
@@ -420,35 +421,38 @@ def empirical_char_function(batch, xis):
     return _char_estimate(shift, parts, batch.count)
 
 
-def validate_char_function(batch, xis, n_sigma=3.0):
-    """Check the defining Fourier identity at the given frequencies."""
+def validate_char_function(batch, xis):
+    """Check the defining Fourier identity at the given frequencies.
+
+    PASS iff every frequency's estimate lies within 3 standard errors of the
+    closed form.
+    """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     vals, ses = empirical_char_function(batch, xis)
-    return _char_report(batch.t, batch.params, batch.mode, xis, vals, ses, n_sigma)
+    return _char_report(batch.t, batch.params, batch.mode, xis, vals, ses)
 
 
-def compare_density(batch, radii, quad=DEFAULT_QUAD, n_sigma=3.0):
+def compare_density(batch, radii, quad=DEFAULT_QUAD):
     """Shell-histogram densities versus quadrature heat-kernel values.
 
     ``radii`` are the shell edges.  Each shell's empirical density
     (count / (total * shell volume)) is compared with the kernel averaged
     over the shell; shells whose expected count is below 50 are excluded
-    and flagged.  PASS iff all retained shells agree within ``n_sigma``
-    combined standard errors.  Shell counts are taken block by block.
+    and flagged.  PASS iff all retained shells agree within 3 combined
+    standard errors.  Shell counts are taken block by block.
     """
     edges = _shell_edges(radii)
     counts = np.sum(_map(lambda block: _shell_counts(block, edges),
                          _blocks(batch.points)), axis=0)
     probs = _shell_probabilities(edges, batch.t, batch.params, quad)
     return _density_report(edges, counts, probs, batch.t, batch.params.n,
-                           batch.count, batch.seed, n_sigma)
+                           batch.count, batch.seed)
 
 
 # -- both checks in one streamed pass
 
 
-def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD,
-                  n_sigma=3.0):
+def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD):
     """Both checks of ``sample_mixed(t, params, count, seed)`` with no points array.
 
     Returns ``(char_report, density_report, timings)``, the reports equal to
@@ -488,8 +492,8 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD,
             counts = counts + more_counts
     pass_s = time.perf_counter() - t0
     vals, ses = _char_estimate(shift, parts, count)
-    char = _char_report(t, params, "mixed", xis, vals, ses, n_sigma)
-    density = _density_report(edges, counts, probs, t, params.n, count, seed, n_sigma)
+    char = _char_report(t, params, "mixed", xis, vals, ses)
+    density = _density_report(edges, counts, probs, t, params.n, count, seed)
     timings = {"quadrature_s": quad_s, "pass_s": pass_s,
                "samples_per_s": count / pass_s}
     return char, density, timings

@@ -1,6 +1,7 @@
 """Qualitative analysis: radial averaging, symmetry, decay fits, barriers."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,54 @@ class TestRadialAverage:
         prof = A.radial_average(u, center=center)
         spike_r = 8 * GRID.spacing
         assert abs(prof.radii[np.argmax(prof.values)] - spike_r) <= GRID.spacing
+
+    @pytest.mark.parametrize("center", [None, (37, 90)], ids=["peak", "off-peak"])
+    def test_points_whole_steps_out_land_in_their_shell(self, center):
+        # spacing 14.6 / 128 is no binary fraction: float radii about the
+        # middle point put 164 of the 16,384 points exactly m steps out into
+        # shell m - 1, and 116 about (37, 90)
+        grid = S.GridSpec(2, 7.3, 128)
+        peak = (64, 64) if center is None else center
+        i, j = np.indices(grid.shape)
+        keys = (i - peak[0]) ** 2 + (j - peak[1]) ** 2
+        shell = np.vectorize(math.isqrt)(keys)
+        # the exact shell index, negated so that the field peaks at ``peak``
+        prof = A.radial_average(S.RealField(grid, -shell.astype(float)), center=center)
+        assert np.array_equal(-prof.values, np.arange(shell.max() + 1))
+        steps = np.arange(1, shell.max() + 1)
+        assert np.all(prof.radii[1:] >= steps * grid.spacing)
+        assert np.all(prof.radii[1:] < (steps + 1) * grid.spacing)
+
+    @pytest.mark.parametrize("which", ["gaussian", "n2", "n3"])
+    def test_matches_float_coordinates_on_binary_spacings(self, solved_fields, which):
+        u = {"gaussian": radial_gaussian(GRID),
+             "n2": solved_fields[0], "n3": solved_fields[1]}[which]
+        prof = A.radial_average(u)
+        radii, values = float_coordinate_average(u)
+        assert len(prof.radii) == len(radii)
+        assert np.abs(prof.values - values).max() <= 1e-15 * np.abs(u.data).max()
+        np.testing.assert_allclose(prof.radii[1:], radii[1:], rtol=1e-13, atol=0)
+        assert prof.radii[0] == 1e-12 and radii[0] == 0.0
+
+
+def float_coordinate_average(u, center=None):
+    """``radial_average`` as it was before exact orbit keys: float radii from
+    the grid coordinates, binned by ``int(r / spacing)``, each shell at the
+    mean radius of its points.
+
+    Kept as the oracle of the integer-keyed shells on spacings that are binary
+    fractions, where both put every point in the same shell.
+    """
+    if center is None:
+        center = A.peak_index(u)
+    ax = u.grid.axis()
+    r = u.grid.radius(center=tuple(float(ax[i]) for i in center)).ravel()
+    which = (r / u.grid.spacing).astype(int)
+    counts = np.bincount(which)
+    mask = counts > 0
+    radii = np.bincount(which, weights=r)[mask] / counts[mask]
+    values = np.bincount(which, weights=u.data.ravel())[mask] / counts[mask]
+    return radii, values
 
 
 def rounded_radius_deviation(u, center=None, r_max=None):

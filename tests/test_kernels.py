@@ -63,7 +63,23 @@ class TestHeatKernel:
 
     def test_mass(self):
         for t in (0.5, 1.0, 2.0):
-            assert K.heat_kernel_mass(t, P2, r_max=30.0) == pytest.approx(1.0, abs=1e-4)
+            assert K.heat_kernel_mass(t, P2) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_mass_with_a_slow_tail(self, t):
+        # at s = 0.25 the tail beyond R = 30 holds about 1% of the mass; its
+        # first far-field term alone left 1.3e-2 at t = 2
+        assert K.heat_kernel_mass(t, KernelParams(3, 0.25)) == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("n, s", [(1, 0.3), (2, 0.5), (3, 0.75)])
+    def test_far_field_leading_term_is_the_tail_constant(self, n, s):
+        params = KernelParams(n, s)
+        assert -K._far_field_coefficient(2.0 * s, n) == pytest.approx(
+            K.heat_tail_constant(params), rel=1e-14, abs=0)
+
+    def test_far_field_coefficient_vanishes_at_even_integers(self):
+        for a in (2.0, 4.0):
+            assert K._far_field_coefficient(a, 3) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
