@@ -166,13 +166,19 @@ def _cmd_kernel_verify(args):
     records.append(analysis.check_report(
         "heat-kernel-mass", max(mass_errs), 1e-4, max(mass_errs) < 1e-4))
 
-    cross = []
-    for r in np.geomspace(0.3, 10.0, 5):
-        a = kernels.bessel_kernel(r, params, quad)
-        b = kernels.bessel_kernel_time_integral(r, params, quad)
-        cross.append(abs(a - b) / abs(a))
-    records.append(analysis.check_report(
-        "bessel-time-integral", max(cross), 1e-6, max(cross) < 1e-6))
+    try:
+        cross = []
+        for r in np.geomspace(0.3, 10.0, 5):
+            a = kernels.bessel_kernel(r, params, quad)
+            b = kernels.bessel_kernel_time_integral(r, params, quad)
+            cross.append(abs(a - b) / abs(a))
+    except AccuracyError as exc:
+        # a check that cannot run fails its own record, not the command
+        records.append(analysis.check_report(
+            "bessel-time-integral", None, 1e-6, False, detail=str(exc)))
+    else:
+        records.append(analysis.check_report(
+            "bessel-time-integral", max(cross), 1e-6, max(cross) < 1e-6))
 
     pl_errs = [abs(sp - fr) / abs(fr)
                for sp, fr in kernels.plancherel_pairing(params, (0.5, 1.0, 2.0), quad)]

@@ -10,31 +10,32 @@ factor; each subinterval is integrated with fixed-order Gauss-Legendre
 panels (geometrically graded toward r = 0 to absorb the |xi|^{2s} cusp of
 the symbols used here).  After the head [0, first zero], the zero intervals
 are integrated ``_BLOCK`` at a time, one term per interval.  After each
-block the partial sums are tested: plain summation stops once the envelope
-has killed the tail, and otherwise Wynn's epsilon algorithm extrapolates the
-last 40 sums and stops once its error estimate meets the tolerance and
-agrees with the previous block's extrapolation to that same tolerance.
+block Wynn's epsilon algorithm extrapolates the last 40 partial sums, and
+the sum stops once its error estimate meets the tolerance and agrees with
+the previous block's extrapolation to that same tolerance, or, where the
+partition ends, once the estimate alone meets the tolerance.  This is the
+only stop.
 ``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition,
 and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
 a sum that has not converged by then raises ``AccuracyError``, as does a
 head or block whose envelope would need more than ``_MAX_PANELS`` panels.
 
 Batches of radii.  ``radial_inverse_fourier_many`` evaluates one symbol at
-an array of radii in one pass.  Since the Wynn stop needs two blocks'
-extrapolations, no sum can stop by Wynn before its second block, so the
-first pass panelizes every radius's graded head together with its first two
-blocks and integrates them as one run of panels, with a = 2 pi |x| set per
-panel.  The loop's first two tests read their terms from that pass; each
-later block of every radius still summing gets a pass of its own.  One
-``bincount`` over (radius, interval) maps a pass's panels back to their
-terms.  Everything that decides a value stays per radius: the stopping
-tests, the tolerances, the panel refusal, ``r_max``, x = 0 and
-``AccuracyError``.  A second block over ``_MAX_PANELS`` stays out of the
-first pass and is refused only if its radius reaches it, as a head or first
-block over the limit is refused in the first pass.  Each panel, term and
-partial sum is the one a one-radius call computes, so every value is bitwise
-equal to ``radial_inverse_fourier`` at that radius, which is this engine on
-one radius.
+an array of radii in one pass.  The stop needs two blocks' extrapolations
+to agree wherever the partition goes on, so no sum stops before its second
+block and every radius with a second block reaches it.  The first pass
+therefore panelizes every radius's graded head together with its first two
+blocks (or its one block, where the partition ends there) and integrates
+them as one run of panels, with a = 2 pi |x| set per panel: it builds no
+panel a radius does not use.  The loop's first two tests read their terms
+from that pass; each later block of every radius still summing gets a pass
+of its own.  One ``bincount`` over (radius, interval) maps a pass's panels
+back to their terms.  Everything that decides a value stays per radius:
+the stopping test, the tolerances, the panel refusal, ``r_max``, x = 0 and
+``AccuracyError``.  Each panel, term and partial sum is the one a
+one-radius call computes, so every value is bitwise equal to
+``radial_inverse_fourier`` at that radius, which is this engine on one
+radius.
 
 Memory.  Integrating a panel holds about 1 kB (nodes, symbol and Bessel
 values at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a
@@ -210,20 +211,6 @@ def _wynn_epsilon(partial_sums):
     return best_val, best_err
 
 
-def _first_settled(tail_mag, sums, abs_floor, rel_tol):
-    """First k >= 3 at which every term from k - 2 on is below 5% of the tolerance.
-
-    The tolerance at k is max(abs_floor, rel_tol * |sums[k]|); returns None
-    if no k qualifies.  A reverse running maximum gives max(tail_mag[k - 2:])
-    for every k at once.
-    """
-    tail_max = np.maximum.accumulate(tail_mag[::-1])[::-1]
-    # entry i of settled is k = i + 3; fmax, like the scalar max(), keeps
-    # abs_floor when a partial sum is NaN
-    settled = tail_max[1:-2] <= 0.05 * np.fmax(abs_floor, rel_tol * np.abs(sums[3:]))
-    return int(settled.argmax()) + 3 if settled.any() else None
-
-
 def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
     """int_{R^n} g(|xi|) d xi for a radial, absolutely integrable symbol."""
     from scipy import integrate
@@ -328,17 +315,12 @@ def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
                 {block: interval_terms[first[h + i] : first[h + i + 1]]
                  for i, block in enumerate(blocks)})
 
-    def fits(piece):
-        return _panel_counts(piece[:-1], piece[1:], w_cap, w_rel).sum() <= _MAX_PANELS
-
     # one pass for the heads, [0, first zero] (or [0, r_max]) graded toward the
-    # origin, and the first two blocks of zero intervals: no radius can stop by
-    # Wynn before its second block.  A second block over _MAX_PANELS waits for
-    # the loop, so that only a radius that reaches it raises.
+    # origin, and the first two blocks of zero intervals: no radius can stop
+    # before its second block, if the partition has one
     active = [j for j in range(count) if zeros[j] is not None]
     blocks = [(j, 0) for j in active] + [
-        (j, _BLOCK) for j in active
-        if len(zeros[j]) - 1 > _BLOCK and fits(zeros[j][_BLOCK : 2 * _BLOCK + 1])]
+        (j, _BLOCK) for j in active if len(zeros[j]) - 1 > _BLOCK]
     head, ready = integrate(blocks, [_head_breaks(hi, w_cap) for hi in head_hi])
 
     out = np.empty(count)
@@ -360,13 +342,6 @@ def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
         for j in active:
             terms[j] = np.concatenate((terms[j], ready.pop((j, start))))
             sums = head[j] + np.cumsum(terms[j])
-
-            # plain summation if the envelope has already killed the tail
-            k = _first_settled(np.abs(terms[j]), sums, abs_floor[j], quad.rel_tol)
-            if k is not None:
-                out[j] = pref[j] * sums[k]
-                continue
-
             value, est = _wynn_epsilon(sums[-40:])
             tol = max(abs_floor[j], quad.rel_tol * abs(value))
             if est <= tol and abs(value - previous[j]) <= tol:

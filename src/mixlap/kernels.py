@@ -418,6 +418,7 @@ def heat_bound_check(points, params, quad=DEFAULT_QUAD):
 
 
 _MASS_SPLIT = 30.0  # heat_kernel_mass: quadrature inside, far-field series outside
+_PLANCHEREL_PANELS = 160  # plancherel_pairing: geometric panels of the spatial side
 
 
 def _far_field_coefficient(a, n):
@@ -437,9 +438,10 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD):
 
     Integrates the kernel out to R = 30 by adaptive quadrature and closes with
     the far-field series (``_far_field_coefficient``), whose term in |x|^{-n-a}
-    integrates to R^{-a} / a beyond R.  Its terms j <= 4, m <= 1 leave
-    1.1e-6 of the mass at (n, s) = (3, 0.25) and t <= 2, where the first term
-    alone left 1.3e-2; at (2, 0.1) they still leave 1.3e-3.
+    integrates to R^{-a} / a beyond R.  At small s the terms shrink only
+    like (t R^{-2s})^j / j!, so it sums j <= 12, m <= 1: at t <= 2 they leave
+    1.9e-9 of the mass at (n, s) = (2, 0.1) and 5.2e-9 at (3, 0.25), where
+    j <= 4 left 1.3e-3 and 1.1e-6 and the first term alone 0.2 and 1.3e-2.
     """
     from scipy import integrate
 
@@ -453,7 +455,7 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD):
         limit=300,
     )
     tail = 0.0
-    for j in range(1, 5):
+    for j in range(1, 13):
         for m in range(2):
             a = 2.0 * s * j + 2.0 * m
             tail += ((-t) ** (j + m) / (math.factorial(j) * math.factorial(m))
@@ -461,7 +463,7 @@ def heat_kernel_mass(t, params, quad=DEFAULT_QUAD):
     return sphere_surface_area(n) * (val + tail)
 
 
-def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, n_panels=160):
+def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD):
     """Both sides of the Parseval identity for K against Gaussian test functions.
 
     Test function phi(x) = exp(-|x|^2 / sigma^2), whose transform is
@@ -476,7 +478,7 @@ def plancherel_pairing(params, sigmas, quad=DEFAULT_QUAD, n_panels=160):
     # spatial side: composite Gauss-Legendre on a geometric panel mesh over
     # [1e-4, 40], after one panel [0, 1e-4], so the origin singularity of K
     # (log for n = 2, power for n >= 3) is resolved
-    edges = np.geomspace(1e-4, 40.0, n_panels + 1)
+    edges = np.geomspace(1e-4, 40.0, _PLANCHEREL_PANELS + 1)
     edges = np.concatenate(([0.0], edges))
     gl_x, gl_w = np.polynomial.legendre.leggauss(12)
     nodes, weights = [], []

@@ -339,6 +339,20 @@ class TestKernelVerify:
         assert regimes == {"tail", "gaussian"}
         assert bounds["lower_ratio_min"] > 0
 
+    def test_check_that_cannot_run_fails_its_record(self, tmp_path):
+        # at s = 0.1 the Bessel time integral needs heat values whose heads
+        # need 1.25e8 panels; the other six records are still written
+        out = tmp_path / "kv"
+        code = main(["kernel-verify", "--n", "2", "--s", "0.1", "--output-dir", str(out)])
+        assert code == 1
+        by_check = {rec["check"]: rec for rec in read_json(out / "kernel-verify.json")}
+        cross = by_check["bessel-time-integral"]
+        assert cross["pass"] is False and cross["statistic"] is None
+        assert "quadrature panels" in cross["detail"]
+        assert by_check["heat-kernel-mass"]["pass"] is True
+        assert len(by_check) == 7
+        assert read_json(out / "manifest.json")["pass"] is False
+
 
 class TestMcValidate:
     def test_small_run(self, tmp_path):

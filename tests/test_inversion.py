@@ -293,14 +293,6 @@ def assert_panels_match_linspace_loop(lo, hi, w_cap, w_rel):
         assert np.array_equal(g, r)
 
 
-def reference_first_settled(tail_mag, sums, abs_floor, rel_tol):
-    for k in range(3, len(tail_mag)):
-        tol = max(abs_floor, rel_tol * abs(sums[k]))
-        if tail_mag[k - 2 :].max(initial=0.0) <= 0.05 * tol:
-            return k
-    return None
-
-
 class TestVectorisedEngine:
     @pytest.mark.parametrize("w_cap", [np.inf, 0.3])
     @pytest.mark.parametrize("w_rel", [0.0, 0.5])
@@ -325,18 +317,6 @@ class TestVectorisedEngine:
             assert np.all(np.diff(breaks) > 0)
             assert_panels_match_linspace_loop(breaks[:-1], breaks[1:], w_cap, w_rel)
 
-    def test_first_settled_matches_loop(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            size = int(rng.integers(1, 60))
-            terms = rng.normal(size=size) * np.exp(-rng.uniform(0, 1) * np.arange(size))
-            terms[rng.random(size) < 0.1] = 0.0
-            if rng.random() < 0.2:  # a NaN term poisons the partial sums after it
-                terms[rng.integers(size)] = np.nan
-            sums = rng.normal() + np.cumsum(terms)
-            args = (np.abs(terms), sums, 10.0 ** rng.uniform(-14, -2), 1e-8)
-            assert inversion._first_settled(*args) == reference_first_settled(*args)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kernels_bitwise_equal_to_loop_engine(self, n, monkeypatch):
         params = KernelParams(n, 0.37)
@@ -348,7 +328,6 @@ class TestVectorisedEngine:
         radii = (0.01, 1.0, 100.0)
         got = [ev(x) for ev in evaluators for x in radii]
         monkeypatch.setattr(inversion, "_panelize", reference_panelize)
-        monkeypatch.setattr(inversion, "_first_settled", reference_first_settled)
         ref = [ev(x) for ev in evaluators for x in radii]
         assert got == ref
 
@@ -408,10 +387,6 @@ def reference_batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
         for slot, j in enumerate(active):
             terms[j] = np.concatenate((terms[j], block_terms[first[slot] : first[slot + 1]]))
             sums = head[j] + np.cumsum(terms[j])
-            k = inversion._first_settled(np.abs(terms[j]), sums, abs_floor[j], quad.rel_tol)
-            if k is not None:
-                out[j] = pref[j] * sums[k]
-                continue
             value, est = inversion._wynn_epsilon(sums[-40:])
             tol = max(abs_floor[j], quad.rel_tol * abs(value))
             if est <= tol and abs(value - previous[j]) <= tol:
@@ -458,21 +433,20 @@ def sweep_outcomes(n):
 class TestFusedFirstPass:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bitwise_equal_to_per_block_engine(self, n, monkeypatch):
-        stops = []  # (partial sums seen, plain exit taken) at every test
-        first_settled = inversion._first_settled
+        sizes = []  # partial sums Wynn's epsilon sees at every test
+        wynn_epsilon = inversion._wynn_epsilon
 
-        def recording(tail_mag, sums, abs_floor, rel_tol):
-            k = first_settled(tail_mag, sums, abs_floor, rel_tol)
-            stops.append((len(sums), k is not None))
-            return k
+        def recording(partial_sums):
+            sizes.append(len(partial_sums))
+            return wynn_epsilon(partial_sums)
 
-        monkeypatch.setattr(inversion, "_first_settled", recording)
+        monkeypatch.setattr(inversion, "_wynn_epsilon", recording)
         got = sweep_outcomes(n)
         block = inversion._BLOCK
-        # radii that settle inside a full first block, and partitions of fewer
-        # than 33 zeros that reach their short second block
-        assert (block, True) in stops
-        assert any(block < size < 2 * block for size, _ in stops)
+        # radii that reach a full second block, and partitions of fewer than
+        # 33 zeros that reach their short second block
+        assert 2 * block in sizes
+        assert any(block < size < 2 * block for size in sizes)
         monkeypatch.setattr(inversion, "_batch", reference_batch)
         assert got == sweep_outcomes(n)
 
@@ -508,12 +482,6 @@ class TestFusedFirstPass:
         assert (head, first, second) == (184, 3199, 3200)
         monkeypatch.setattr(inversion, "_MAX_PANELS", int(max(head, first)))
         return x, {"envelope_scale": 2.0 * w_cap}
-
-    def test_oversized_second_block_is_not_built_for_a_settled_radius(self, monkeypatch):
-        ref = radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=1e-2)
-        x, options = self.oversized_second_block(monkeypatch)
-        assert radial_inverse_fourier(gaussian_symbol(1.0), x, 2, **options) == ref
-        assert ref == pytest.approx(np.pi * np.exp(-np.pi ** 2 * 0.25), rel=1e-8)
 
     def test_oversized_second_block_raises_where_it_is_needed(self, monkeypatch):
         x, options = self.oversized_second_block(monkeypatch)

@@ -36,6 +36,16 @@ class TestHeatKernel:
         exact = 2.0 * t1 / (t1 ** 2 + 4.0 * np.pi ** 2 * x ** 2)
         assert got == pytest.approx(exact, rel=1e-8)
 
+    @pytest.mark.parametrize("t1", [0.3, 0.7, 1.5, 2.5])
+    def test_poisson_to_roundoff(self, t1):
+        # two agreeing Wynn extrapolations land at roundoff here, far inside
+        # the 1e-8 tolerance; stopping once the terms fall below 5% of the
+        # tolerance lands up to 4e-11 off
+        radii = np.geomspace(0.05, 2.5, 7)
+        got = K.heat_kernel_two_scale(radii, t1, 0.0, KernelParams(1, 0.5))
+        exact = 2.0 * t1 / (t1 ** 2 + 4.0 * np.pi ** 2 * radii ** 2)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+
     def test_x0_value(self):
         # independent adaptive quadrature of the x = 0 integral
         from scipy import integrate
@@ -55,6 +65,19 @@ class TestHeatKernel:
                     direct, rel=1e-6
                 )
 
+    def test_scaling_identities_to_roundoff(self):
+        # kernel-verify's seed-0 points at (3, 0.25): each branch stops its
+        # own Hankel sums, so each stop must land at roundoff of the limit
+        params = KernelParams(3, 0.25)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            x, t = rng.uniform(0.1, 2.0), rng.uniform(0.2, 5.0)
+            direct = K.heat_kernel(x, t, params)
+            for branch in ("2s", "2"):
+                assert K.heat_kernel_rescaled(x, t, params, branch=branch) == pytest.approx(
+                    direct, rel=1e-11, abs=0
+                )
+
     def test_nonnegative_nonincreasing(self):
         radii = np.linspace(0.0, 6.0, 40)
         vals = np.array([K.heat_kernel(r, 1.0, P2) for r in radii])
@@ -65,11 +88,15 @@ class TestHeatKernel:
         for t in (0.5, 1.0, 2.0):
             assert K.heat_kernel_mass(t, P2) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_mass_with_a_slow_tail(self, t):
+    @pytest.mark.parametrize("t, n, s", [
+        *(pytest.param(t, 3, 0.25, id=str(t)) for t in (0.5, 1.0, 2.0)),
+        *(pytest.param(t, 2, 0.1, id=f"n2-s0.1-{t}") for t in (0.5, 1.0, 2.0)),
+    ])
+    def test_mass_with_a_slow_tail(self, t, n, s):
         # at s = 0.25 the tail beyond R = 30 holds about 1% of the mass; its
-        # first far-field term alone left 1.3e-2 at t = 2
-        assert K.heat_kernel_mass(t, KernelParams(3, 0.25)) == pytest.approx(1.0, abs=1e-4)
+        # first far-field term alone left 1.3e-2 at t = 2.  At s = 0.1 the
+        # series terms shrink only like (t 30^{-0.2})^j / j!, about 1 at t = 2
+        assert K.heat_kernel_mass(t, KernelParams(n, s)) == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("n, s", [(1, 0.3), (2, 0.5), (3, 0.75)])
     def test_far_field_leading_term_is_the_tail_constant(self, n, s):
@@ -339,7 +366,8 @@ class TestPlancherel:
             return prof
 
         monkeypatch.setattr(K, "tabulate_kernel", traced)
-        K.plancherel_pairing(P2, SIGMAS, n_panels=40)
+        monkeypatch.setattr(K, "_PLANCHEREL_PANELS", 40)
+        K.plancherel_pairing(P2, SIGMAS)
         (count, peak), = peaks
         assert count == 492
         assert peak < 4 * 2 ** 20
@@ -349,7 +377,7 @@ class TestPlancherel:
         tabulate = K.tabulate_kernel
         monkeypatch.setattr(K, "tabulate_kernel",
                             lambda *a, **kw: calls.append(a) or tabulate(*a, **kw))
-        pairs = K.plancherel_pairing(P2, SIGMAS, n_panels=10)
+        monkeypatch.setattr(K, "_PLANCHEREL_PANELS", 10)
+        pairs = K.plancherel_pairing(P2, SIGMAS)
         assert len(calls) == 1
-        assert pairs == [K.plancherel_pairing(P2, (sigma,), n_panels=10)[0]
-                         for sigma in SIGMAS]
+        assert pairs == [K.plancherel_pairing(P2, (sigma,))[0] for sigma in SIGMAS]
