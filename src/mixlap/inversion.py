@@ -17,8 +17,21 @@ partition ends, once the estimate alone meets the tolerance.  This is the
 only stop.
 ``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition,
 and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
-a sum that has not converged by then raises ``AccuracyError``, as does a
-head or block whose envelope would need more than ``_MAX_PANELS`` panels.
+a sum that has not converged by then raises ``AccuracyError``.
+
+Panels.  A panel on [lo, hi] is at most max(w, ``_REL_WIDTH`` lo) wide, where
+w is half the caller's ``envelope_scale`` (no less than 1e-8, and infinite
+without one): the symbols used here vary on a scale proportional to r away
+from the origin, and w resolves them near it.  The head's breaks are the
+dyadic ladder first 2^-30, ..., first/2, first, 2 first, ... up to its end,
+with first = min(w, end), so the 31 intervals below first take one panel
+each and each interval above it at most 2.  A zero interval takes at most 4
+(the widest relative to its left end is the first at n = 1, [pi/2, 3 pi/2]
+over 2 pi |x|; rounding can make that one 5, but its block then takes 21).
+So a head takes at most 31 + 2 ceil(log2(end / first)) panels, at most 2,133
+for any finite end, a block at most 64, and a pass of ``_BATCH`` radii (a
+head and two blocks each) at most 16 (2,133 + 128) = 36,176, whatever the
+kernel.
 
 Batches of radii.  ``radial_inverse_fourier_many`` evaluates one symbol at
 an array of radii in one pass.  The stop needs two blocks' extrapolations
@@ -31,23 +44,17 @@ panel a radius does not use.  The loop's first two tests read their terms
 from that pass; each later block of every radius still summing gets a pass
 of its own.  One ``bincount`` over (radius, interval) maps a pass's panels
 back to their terms.  Everything that decides a value stays per radius:
-the stopping test, the tolerances, the panel refusal, ``r_max``, x = 0 and
-``AccuracyError``.  Each panel, term and partial sum is the one a
-one-radius call computes, so every value is bitwise equal to
-``radial_inverse_fourier`` at that radius, which is this engine on one
-radius.
+the stopping test, the tolerances, ``r_max``, x = 0 and ``AccuracyError``.
+Each panel, term and partial sum is the one a one-radius call computes, so
+every value is bitwise equal to ``radial_inverse_fourier`` at that radius,
+which is this engine on one radius.
 
 Memory.  Integrating a panel holds about 1 kB (nodes, symbol and Bessel
-values at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time: a
-typical radius needs a few hundred panels for its head and two blocks, and a
-chunk of 16 stays near 1 MiB, where the 1,932 radii of a Plancherel
-tabulation in one pass reach 88 MiB.  Where radii need many panels (the heat
-kernel at large t and small |x| needs 10^4 to 10^5 a radius), a pass
-integrates its panels in consecutive slices of ``_PASS_PANELS``, one
-integrand call a slice, so the integrand's arrays never exceed about 64 MiB,
-however many panels one radius needs.  Only each panel's ends, interval and
-2 pi |x|, about 32 B a panel, are held for the whole pass: for the heads and
-two blocks in the first pass, one block a radius in a later one.
+values at 24 nodes each), so radii go through ``_BATCH`` = 16 at a time and
+a pass is integrated in one integrand call: it stays under about 36 MiB at
+the panel bound above, and near 1 MiB at the few hundred panels a typical
+radius needs, where the 1,932 radii of a Plancherel tabulation in one pass
+reach 88 MiB.
 """
 
 import functools
@@ -67,14 +74,7 @@ _GRADING = 0.5 ** np.arange(_HEAD_LEVELS, 0, -1)
 _NORMAL_MIN = np.finfo(float).tiny
 _BLOCK = 16  # zero intervals integrated between two convergence tests
 _BATCH = 16  # radii integrated together (module docstring, "Memory")
-_PASS_PANELS = 65_536  # most panels integrated by one integrand call
-# Most panels one radius's head or block may need.  It bounds the work of one
-# piece and the panel ends a pass holds for it (about 32 B a panel, so near
-# 64 MB; the first pass holds a head and two blocks a radius); the
-# integrand's arrays are bounded by _PASS_PANELS.  The largest piece the
-# test suite builds, the heat kernel's head at t = 5, s = 0.1, |x| = 0.01, cut
-# at r_max = 3.46, has 21,681 panels.
-_MAX_PANELS = 2_000_000
+_REL_WIDTH = 0.5  # panel width cap relative to the panel's left end ("Panels")
 
 
 def sphere_surface_area(n):
@@ -87,15 +87,10 @@ def _cached_zeros(nu, count):
     return bessel_j_zeros(nu, count)
 
 
-def _panel_counts(lo, hi, w_cap, w_rel):
-    """Panels for each interval [lo[i], hi[i]], as floats.
-
-    Panel width is capped at max(w_cap, w_rel * lo): symbols that only vary
-    on scales proportional to r (the rational ones) need no absolute cap far
-    from the origin.
-    """
+def _panel_counts(lo, hi, w_cap):
+    """Panels for each interval [lo[i], hi[i]], each at most max(w_cap, _REL_WIDTH * lo) wide."""
     # an infinite cap gives width / cap = 0, hence one panel
-    return np.maximum(1, np.ceil((hi - lo) / np.maximum(w_cap, w_rel * lo)))
+    return np.maximum(1, np.ceil((hi - lo) / np.maximum(w_cap, _REL_WIDTH * lo)))
 
 
 def _panelize(lo, hi, m):
@@ -142,38 +137,22 @@ def _gl_integrate(integrand, los, his, a):
     return (vals * _GL_W[None, :] * half).sum(axis=1)
 
 
-def _integrate_pass(integrand, a, pieces, w_cap, w_rel):
-    """Panel integrals over the intervals of several pieces, ``_PASS_PANELS`` at a time.
+def _integrate_pass(integrand, a, pieces, w_cap):
+    """Panel integrals over the intervals of several pieces, in one integrand call.
 
     ``pieces[i]`` holds the breaks of a run of intervals (a head or a block)
     and a[i] is the 2 pi |x| of its radius; one radius may own several
-    pieces.  The panels of all intervals are built at once and integrated in
-    consecutive slices of ``_PASS_PANELS`` panels, one integrand call a
-    slice, whichever radius each panel belongs to.  Returns the panel
-    integrals, each panel's interval (numbered across all pieces, in order)
-    and each piece's panel count.  Raises ``AccuracyError`` before building
-    any panel if one piece, checked in order, would need more than
-    ``_MAX_PANELS``.
+    pieces.  Returns the panel integrals, each panel's interval (numbered
+    across all pieces, in order) and each piece's panel count.
     """
     lo = np.concatenate([b[:-1] for b in pieces])
     hi = np.concatenate([b[1:] for b in pieces])
     first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
-    m = _panel_counts(lo, hi, w_cap, w_rel)
+    m = _panel_counts(lo, hi, w_cap).astype(np.int64)
     counts = np.add.reduceat(m, first[:-1]).tolist()
-    for piece, count in zip(pieces, counts):
-        if count > _MAX_PANELS:
-            raise AccuracyError(
-                f"resolving the envelope on [{piece[0]:.3g}, {piece[-1]:.3g}] "
-                f"needs {count:.3g} quadrature panels (limit {_MAX_PANELS})"
-            )
-    counts = [int(count) for count in counts]
-    p_lo, p_hi, owner = _panelize(lo, hi, m.astype(np.int64))
-    a_panel = np.repeat(a, counts)[:, None]
-    vals = []
-    for k in range(0, len(owner), _PASS_PANELS):
-        part = slice(k, k + _PASS_PANELS)
-        vals.append(_gl_integrate(integrand, p_lo[part], p_hi[part], a_panel[part]))
-    return np.concatenate(vals), owner, counts
+    p_lo, p_hi, owner = _panelize(lo, hi, m)
+    vals = _gl_integrate(integrand, p_lo, p_hi, np.repeat(a, counts)[:, None])
+    return vals, owner, counts
 
 
 def _wynn_epsilon(partial_sums):
@@ -227,27 +206,22 @@ def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
     return area * val
 
 
-def radial_inverse_fourier(
-    symbol, x_norm, n, quad=DEFAULT_QUAD, envelope_scale=None, r_max=None,
-    envelope_rel=0.0,
-):
+def radial_inverse_fourier(symbol, x_norm, n, quad=DEFAULT_QUAD, envelope_scale=None,
+                           r_max=None):
     """Inverse Fourier transform of a radial symbol, evaluated at |x| = x_norm.
 
     ``symbol`` must accept a 1-D numpy array of radii r >= 0 and return the
-    symbol values g(r), elementwise.  ``envelope_scale`` caps the quadrature
-    panel width so that a sharply decaying envelope is always resolved;
-    ``r_max`` truncates the partition where the caller knows the envelope to
-    be negligible; ``envelope_rel`` relaxes the cap proportionally to r for
-    symbols that flatten out (in the logarithmic sense) away from the origin.
+    symbol values g(r), elementwise.  ``envelope_scale`` is the width on which
+    the symbol varies near r = 0: panels there are at most half of it wide,
+    and farther out at most half their distance from 0 (module docstring,
+    "Panels").  ``r_max`` truncates the partition where the caller knows the
+    envelope to be negligible.
     """
-    return radial_inverse_fourier_many(symbol, [x_norm], n, quad, envelope_scale,
-                                       r_max, envelope_rel)[0]
+    return radial_inverse_fourier_many(symbol, [x_norm], n, quad, envelope_scale, r_max)[0]
 
 
-def radial_inverse_fourier_many(
-    symbol, x_norms, n, quad=DEFAULT_QUAD, envelope_scale=None, r_max=None,
-    envelope_rel=0.0,
-):
+def radial_inverse_fourier_many(symbol, x_norms, n, quad=DEFAULT_QUAD, envelope_scale=None,
+                                r_max=None):
     """``radial_inverse_fourier`` at each radius of the 1-D array ``x_norms``, in one pass.
 
     Radii may come in any order and repeat.  Each value is bitwise equal to
@@ -268,12 +242,11 @@ def radial_inverse_fourier_many(
     w_cap = np.inf if envelope_scale is None else max(envelope_scale / 2.0, 1e-8)
     for c in range(0, len(rest), _BATCH):
         chunk = rest[c : c + _BATCH]
-        out[chunk] = _batch(symbol, [xs[i] for i in chunk], n, quad, w_cap, r_max,
-                            envelope_rel)
+        out[chunk] = _batch(symbol, [xs[i] for i in chunk], n, quad, w_cap, r_max)
     return out
 
 
-def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
+def _batch(symbol, xs, n, quad, w_cap, r_max):
     """Values at up to ``_BATCH`` positive radii ``xs``: heads and two blocks, then blocks."""
     nu = n / 2.0 - 1.0
 
@@ -300,13 +273,10 @@ def _batch(symbol, xs, n, quad, w_cap, r_max, w_rel):
         head_hi.append(z[0])
 
     def integrate(blocks, heads=()):
-        """Head sums and the terms of ``blocks``, (radius, start) pairs, in one pass.
-
-        Heads come first, so a head over ``_MAX_PANELS`` raises before a block.
-        """
+        """Head sums and the terms of ``blocks``, (radius, start) pairs, in one pass."""
         pieces = list(heads) + [zeros[j][k : k + _BLOCK + 1] for j, k in blocks]
         radii = list(range(len(heads))) + [j for j, _ in blocks]
-        vals, owner, per_piece = _integrate_pass(integrand, a[radii], pieces, w_cap, w_rel)
+        vals, owner, per_piece = _integrate_pass(integrand, a[radii], pieces, w_cap)
         ends = list(itertools.accumulate(per_piece, initial=0))
         first = list(itertools.accumulate((len(b) - 1 for b in pieces), initial=0))
         interval_terms = np.bincount(owner, vals)  # one term per interval

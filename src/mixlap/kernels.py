@@ -186,14 +186,13 @@ def heat_tail_constant(params):
 # Bessel-type kernels (rational symbols)
 
 
-def _rational_kernel(symbol, x_norm, params, quad, envelope_rel=0.5):
+def _rational_kernel(symbol, x_norm, params, quad):
     x = np.asarray(x_norm)
     if np.any(x < 0):
         raise ValueError("x_norm must be nonnegative")
     if np.any(x == 0.0) and params.n >= 2:
         raise ValueError("kernel is singular at the origin for n >= 2")
-    return _invert(symbol, x_norm, params.n, quad, envelope_scale=0.5,
-                   envelope_rel=envelope_rel)
+    return _invert(symbol, x_norm, params.n, quad, envelope_scale=0.5)
 
 
 def bessel_kernel(x_norm, params, quad=DEFAULT_QUAD):
@@ -235,54 +234,26 @@ def resolvent_multiplier_kernel(x_norm, params, quad=DEFAULT_QUAD):
 def bessel_kernel_ball(x_norm, a, params, quad=DEFAULT_QUAD):
     """(K_a * 1_{B_rho})(|x|), rho = 1/2: the shifted Bessel kernel on a ball.
 
-    ``x_norm`` is a scalar |x| or a 1-D array of radii.
+    ``x_norm`` is a scalar |x| or a 1-D array of radii outside the ball,
+    |x| > rho; a radius at or inside it raises ``ValueError`` before any
+    quadrature runs.
 
     The indicator of B_rho transforms to rho^{n/2} r^{-n/2} J_{n/2}(2 pi rho r),
     so the convolution is the inverse transform of that times the shifted
     Bessel symbol 1 / (a + r^2 + r^{2s}).
-
-    Unlike K_a it is finite at |x| = 0, where it is the integral of that
-    symbol, |S^{n-1}| rho^{n/2} int r^{n/2-1} J_{n/2}(2 pi rho r) / (a + r^2 +
-    r^{2s}) dr.  The same integral, times |S^{n-1}| rho^n / (2 pi), is the
-    inverse transform in dimension n + 2 of 1 / (r^2 (a + r^2 + r^{2s})) at
-    |x| = rho, which the Hankel engine sums zero by zero; adaptive quadrature
-    of the slowly decaying oscillation (``radial_symbol_integral``) stops at
-    its subdivision limit, 0.5% off at n = 4.  The ball's transform, 0 * inf
-    at r = 0, is not evaluated.
-
-    The ball's factor J_{n/2}(2 pi rho r) oscillates with period 1/rho at
-    every r, so its panels keep the absolute width cap (``envelope_rel`` 0):
-    the rational kernels' cap relative to r let panels far out outgrow that
-    period, which put values near |x| = 0 off (by 2.3% at n = 4, |x| = 1e-3).
     """
     if a <= 0:
         raise ValueError("shift a must be positive")
     n, s = params.n, params.s
     rho = 0.5
-
-    def at_origin():
-        def shifted(r):
-            r_sq = r * r
-            return 1.0 / (r_sq * (a + operator_symbol(r_sq, s)))
-
-        return sphere_surface_area(n) * rho ** n / (2.0 * np.pi) * radial_inverse_fourier(
-            shifted, rho, n + 2, quad, envelope_scale=0.5, envelope_rel=0.5)
+    if np.any(np.asarray(x_norm) <= rho):
+        raise ValueError("the ball convolution is evaluated only outside its ball, |x| > 1/2")
 
     def symbol(r):
         ball = rho ** (n / 2.0) * r ** (-n / 2.0) * bessel_j(n / 2.0, 2.0 * np.pi * rho * r)
         return ball / (a + operator_symbol(r * r, s))
 
-    if np.ndim(x_norm) == 0:
-        if x_norm == 0.0:
-            return at_origin()
-        return _rational_kernel(symbol, x_norm, params, quad, envelope_rel=0.0)
-    x = np.asarray(x_norm, dtype=float)
-    centre = x == 0.0
-    out = np.empty(x.shape)
-    if centre.any():
-        out[centre] = at_origin()
-    out[~centre] = _rational_kernel(symbol, x[~centre], params, quad, envelope_rel=0.0)
-    return out
+    return _rational_kernel(symbol, x_norm, params, quad)
 
 
 def bessel_kernel_time_integral(x_norm, params, quad=DEFAULT_QUAD):

@@ -28,9 +28,10 @@ class QuadratureSpec:
     """Tolerances and truncation limits for the oscillatory radial quadrature.
 
     ``max_zeros`` caps the number of Bessel-zero subintervals summed.  The
-    summation stops earlier, block by block, once the tail has died or the
-    Wynn-epsilon extrapolation of the partial sums has converged; a sum that
-    has not converged within the cap raises ``AccuracyError``.
+    summation stops earlier, block by block, once the Wynn-epsilon
+    extrapolations of the partial sums after two consecutive blocks agree
+    within the tolerance; a sum that has not converged within the cap raises
+    ``AccuracyError``.
     """
 
     rel_tol: float = 1e-8

@@ -19,6 +19,7 @@ from mixlap.kernels import (
 from mixlap.params import KernelParams, QuadratureSpec
 from mixlap.special import gamma
 from mixlap import analysis as A
+from mixlap import kernels as K
 from mixlap import spectral as S
 
 P2 = KernelParams(2, 0.5)
@@ -310,34 +311,32 @@ class TestBarriers:
         got = barrier(params, radii=np.array([x])).values[0]
         assert got == pytest.approx(oracle, rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("a", [1.0, 0.5])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_ball_convolution_is_finite_at_the_origin(self, n, a):
-        # K_a is singular at 0, but its integral over the ball is finite
-        params = KernelParams(n, 0.5)
-        got = bessel_kernel_ball(0.0, a, params)
-        assert got == pytest.approx(ball_double_integral(0.0, a, params), rel=1e-9, abs=0)
-
     @pytest.mark.parametrize("n, x", [(3, 10.0), (4, 0.0)])
     def test_shell_oracle_matches_the_double_integral(self, n, x):
         params = KernelParams(n, 0.5)
         assert ball_shell_integral(x, 1.0, params) == pytest.approx(
             ball_double_integral(x, 1.0, params), rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("n, x", [(2, 1e-2), (3, 1e-2), (4, 1e-2), (2, 1e-3), (3, 1e-3)])
-    def test_ball_convolution_near_the_origin(self, n, x):
-        # panels capped relative to r outgrew the ball factor's period 1/rho:
-        # n = 3 at 1e-3 read 6.2e-3 off, n = 4 at 1e-2 read 1.3e-4 off
-        params = KernelParams(n, 0.5)
-        assert bessel_kernel_ball(x, 1.0, params) == pytest.approx(
-            ball_shell_integral(x, 1.0, params), rel=1e-8, abs=0)
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ball_convolution_outside_the_ball(self, n, s):
+        # from 0.1 outside the ball to the barriers' radii; the two differ by
+        # 2.8e-10 at worst (n = 2, s = 0.1, |x| = 0.6)
+        params = KernelParams(n, s)
+        radii = np.array([0.6, 1.5, 4.0])
+        got = bessel_kernel_ball(radii, 1.0, params)
+        ref = [ball_shell_integral(x, 1.0, params) for x in radii]
+        assert got == pytest.approx(ref, rel=1e-8, abs=0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_ball_convolution_does_not_rise_off_the_origin(self, n):
-        # a ball average of a radially decreasing kernel is largest at the centre
-        radii = np.array([0.0, 1e-3, 3e-3, 1e-2, 3e-2, 0.1])
-        values = bessel_kernel_ball(radii, 1.0, KernelParams(n, 0.5))
-        assert np.all(np.diff(values) <= 0)
+    @pytest.mark.parametrize("x", [0.5, 0.1, 0.0, np.array([2.0, 0.5]),
+                                   np.array([0.0, 3.0])])
+    def test_ball_convolution_is_refused_inside_its_ball(self, x, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(K, "_invert", no_quadrature)
+        with pytest.raises(ValueError, match="outside its ball"):
+            bessel_kernel_ball(x, 1.0, KernelParams(3, 0.5))
 
     def test_supersolution_envelope(self):
         radii = np.array([2.0, 8.0, 25.0])

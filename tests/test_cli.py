@@ -16,6 +16,7 @@ import pytest
 import mixlap
 from mixlap import kernels, mc, spectral
 from mixlap.cli import build_parser, main
+from mixlap.errors import AccuracyError
 from mixlap.fileio import write_json
 from mixlap.params import QuadratureSpec
 from mixlap.solver import SolverConfig
@@ -339,18 +340,25 @@ class TestKernelVerify:
         assert regimes == {"tail", "gaussian"}
         assert bounds["lower_ratio_min"] > 0
 
-    def test_check_that_cannot_run_fails_its_record(self, tmp_path):
-        # at s = 0.1 the Bessel time integral needs heat values whose heads
-        # need 1.25e8 panels; the other six records are still written
+    def test_check_that_cannot_run_fails_its_record(self, tmp_path, monkeypatch):
+        # a Bessel time integral whose quadrature gives up fails its own
+        # record; the other six records are still written, and pass
+        message = "accelerated Hankel summation did not converge (error ~ 1e-06)"
+
+        def cannot_run(*args):
+            raise AccuracyError(message, achieved=1e-6)
+
+        monkeypatch.setattr(kernels, "bessel_kernel_time_integral", cannot_run)
         out = tmp_path / "kv"
-        code = main(["kernel-verify", "--n", "2", "--s", "0.1", "--output-dir", str(out)])
+        code = main(["kernel-verify", "--n", "2", "--s", "0.5", "--output-dir", str(out)])
         assert code == 1
         by_check = {rec["check"]: rec for rec in read_json(out / "kernel-verify.json")}
-        cross = by_check["bessel-time-integral"]
+        cross = by_check.pop("bessel-time-integral")
         assert cross["pass"] is False and cross["statistic"] is None
-        assert "quadrature panels" in cross["detail"]
+        assert cross["detail"] == message
         assert by_check["heat-kernel-mass"]["pass"] is True
-        assert len(by_check) == 7
+        assert len(by_check) == 6
+        assert all(rec["pass"] for rec in by_check.values())
         assert read_json(out / "manifest.json")["pass"] is False
 
 

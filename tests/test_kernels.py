@@ -312,10 +312,11 @@ class TestBatches:
     def test_batch_bitwise_equal_to_one_radius_calls(self, n, s):
         # radii from the three bands, unordered and repeated.  For the heat
         # kernels |x| = 0.01 ends at its graded head (r_max before the first
-        # zero), the others are cut at r_max, and |x| = 0 is the symbol's integral
+        # zero), the others are cut at r_max, and |x| = 0 is the symbol's
+        # integral; the ball's convolution is evaluated only outside the ball
         params = KernelParams(n, s)
         for label, kernel in kernel_evaluators(params).items():
-            radii = [30.0, 0.05, 1.0, 0.05]
+            radii = [30.0, 0.6, 1.0, 0.6] if label == "ball" else [30.0, 0.05, 1.0, 0.05]
             if label.startswith("heat"):
                 radii += [0.0, 0.01]
             got = kernel(np.array(radii))
