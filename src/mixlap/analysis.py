@@ -4,9 +4,9 @@ Checks positivity, radial symmetry and the two-sided power decay with
 exponent n + 2s on solver output, and constructs the sub/supersolution
 barriers whose tails bracket the solution's decay.  Both field audits, the
 symmetry deviation and the radial average, group grid points into orbits
-exactly, by their integer squared grid distance from the center, and build
-no coordinates.  A barrier is a Bessel-type kernel K_a convolved with the
-indicator of the ball of radius 1/2; each of its values is one Hankel
+exactly, by their integer squared grid distance from the field's peak, and
+build no coordinates.  A barrier is a Bessel-type kernel K_a convolved with
+the indicator of the ball of radius 1/2; each of its values is one Hankel
 transform (``kernels.bessel_kernel_ball``).
 """
 
@@ -18,7 +18,7 @@ from .errors import MixlapError
 # tabulate_kernel is unused here, but the benchmark's span tracer wraps it
 # under this module's name
 from .kernels import RadialProfile, bessel_kernel_ball, tabulate_kernel  # noqa: F401
-from .params import DEFAULT_QUAD, KernelParams
+from .params import DEFAULT_QUAD
 
 
 def peak_index(u):
@@ -26,34 +26,29 @@ def peak_index(u):
     return np.unravel_index(int(np.argmax(u.data)), u.data.shape)
 
 
-def _orbit_keys(u, center):
-    """Squared grid distance sum_i (k_i - c_i)^2 of every point from the center.
+def _orbit_keys(u):
+    """Squared grid distance sum_i (k_i - c_i)^2 of every point from the peak c.
 
     The key is an integer, so it groups the points at exactly equal distance
     with no rounding: each key is one orbit, at radius spacing * sqrt(key).
     """
-    if center is None:
-        center = peak_index(u)
     keys = np.zeros(u.data.shape, dtype=np.intp)
-    for axis, (size, c) in enumerate(zip(u.data.shape, center)):
+    for axis, (size, c) in enumerate(zip(u.data.shape, peak_index(u))):
         steps = np.arange(size) - int(c)
         keys += (steps * steps).reshape((-1,) + (1,) * (keys.ndim - axis - 1))
     return keys
 
 
-def radial_average(u, center=None, params=None):
-    """Shell-averaged radial profile of a field around ``center``.
+def radial_average(u, params):
+    """Shell-averaged radial profile of a field around its peak (``peak_index``).
 
-    ``center`` is a grid index tuple; the default is the field's argmax.  The
-    points are grouped by their integer squared grid distance k from the
-    center (``_orbit_keys``), the orbits of ``symmetry_deviation``, and orbit
-    k goes into shell floor(sqrt(k)), one grid step wide, so a point exactly
-    m steps out lies in shell m.  ``params`` tags the resulting profile; only
+    The points are grouped by their integer squared grid distance k from the
+    peak (``_orbit_keys``), the orbits of ``symmetry_deviation``, and orbit k
+    goes into shell floor(sqrt(k)), one grid step wide, so a point exactly m
+    steps out lies in shell m.  ``params`` tags the resulting profile; only
     the dimension matters for the averaging itself.
     """
-    if params is None:
-        params = KernelParams(u.grid.n, 0.5)
-    keys = _orbit_keys(u, center).ravel()
+    keys = _orbit_keys(u).ravel()
     counts = np.bincount(keys)
     sums = np.bincount(keys, weights=u.data.ravel())
     orbits = np.flatnonzero(counts)
@@ -69,7 +64,7 @@ def radial_average(u, center=None, params=None):
     # report each shell at the mean radius of its points, not the bin
     # center: first-order binning bias cancels for smooth profiles
     radii = u.grid.spacing * np.bincount(shell, weights=counts * roots)[mask] / shell_counts
-    if radii[0] == 0.0:  # center-only shell would break strict monotonicity
+    if radii[0] == 0.0:  # the peak-only shell would break strict monotonicity
         radii[0] = 1e-12
     return RadialProfile(
         radii=radii,
@@ -79,18 +74,18 @@ def radial_average(u, center=None, params=None):
     )
 
 
-def symmetry_deviation(u, center=None, r_max=None):
-    """Max deviation from exact radial symmetry, relative to the field peak.
+def symmetry_deviation(u, r_max=None):
+    """Max deviation from exact radial symmetry about the field's peak, relative to it.
 
-    Computes max |u(x) - orbit mean at |x - center|| / max(u) over grid
-    points, the points of exactly equal radius grouped into one orbit by
-    their integer squared grid distance from the center (``_orbit_keys``), so
-    that a radial field scores 0.  ``r_max`` restricts the audit to
-    |x - center| <= r_max; on a periodic box the images of the solution break
-    symmetry near the boundary, so decay-dominated fields should be audited
-    inside a guard radius.
+    Computes max |u(x) - orbit mean at |x - c|| / max(u) over grid points, c
+    the peak (``peak_index``), the points of exactly equal radius grouped
+    into one orbit by their integer squared grid distance from c
+    (``_orbit_keys``), so that a radial field scores 0.  ``r_max`` restricts
+    the audit to |x - c| <= r_max; on a periodic box the images of the
+    solution break symmetry near the boundary, so decay-dominated fields
+    should be audited inside a guard radius.
     """
-    keys = _orbit_keys(u, center).ravel()
+    keys = _orbit_keys(u).ravel()
     vals = u.data.ravel()
     if r_max is not None:  # an orbit lies wholly inside or wholly outside
         inside = u.grid.spacing * np.sqrt(keys) <= r_max
@@ -159,30 +154,26 @@ def decay_fit(profile, window, params=None):
 # barrier constructions: kernel * indicator of the ball of radius 1/2
 
 
-def _barrier_profile(a, params, quad, radii, label):
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 1.0):
-        raise ValueError("barrier radii must exceed 1")
+def _barrier_profile(a, params, quad, label):
+    radii = np.geomspace(2.0, 50.0, 25)
     vals = bessel_kernel_ball(radii, a, params, quad)
     return RadialProfile(radii=radii, values=vals, params=params, label=label)
 
 
-def barrier_subsolution(params, quad=DEFAULT_QUAD, radii=None):
+def barrier_subsolution(params, quad=DEFAULT_QUAD):
     """Subsolution barrier: Bessel kernel convolved with the ball indicator.
 
-    The tail satisfies value * r^{n+2s} >= c_1 > 0; the empirical c_1 is
-    the min of the compensated profile, reported by the caller.
+    Tabulated at 25 geometric radii in [2, 50].  The tail satisfies
+    value * r^{n+2s} >= c_1 > 0; the empirical c_1 is the min of the
+    compensated profile, reported by the caller.
     """
-    if radii is None:
-        radii = np.geomspace(2.0, 50.0, 25)
-    return _barrier_profile(1.0, params, quad, radii, "bessel-barrier")
+    return _barrier_profile(1.0, params, quad, "bessel-barrier")
 
 
-def barrier_supersolution(params, quad=DEFAULT_QUAD, radii=None):
-    """Supersolution barrier: the a = 1/2 shifted kernel convolved with the ball."""
-    if radii is None:
-        radii = np.geomspace(2.0, 50.0, 25)
-    return _barrier_profile(0.5, params, quad, radii, "bessel-shifted-barrier")
+def barrier_supersolution(params, quad=DEFAULT_QUAD):
+    """Supersolution barrier: the a = 1/2 shifted kernel convolved with the ball,
+    at the radii of ``barrier_subsolution``."""
+    return _barrier_profile(0.5, params, quad, "bessel-shifted-barrier")
 
 
 # ---------------------------------------------------------------------------

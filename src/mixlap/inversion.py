@@ -87,6 +87,13 @@ def _cached_zeros(nu, count):
     return bessel_j_zeros(nu, count)
 
 
+def partition_end(x_norm, n, quad):
+    """Where the Bessel-zero partition at |x| = x_norm > 0 ends, with no ``r_max``:
+    the ``quad.max_zeros``-th zero of J_{n/2-1} over 2 pi |x|."""
+    last = float(_cached_zeros(n / 2.0 - 1.0, int(quad.max_zeros))[-1])
+    return last / (2.0 * math.pi * x_norm)  # a float quotient: inf, not a warning
+
+
 def _panel_counts(lo, hi, w_cap):
     """Panels for each interval [lo[i], hi[i]], each at most max(w_cap, _REL_WIDTH * lo) wide."""
     # an infinite cap gives width / cap = 0, hence one panel

@@ -30,6 +30,7 @@ from scipy.special import rgamma
 
 from .fileio import atomic_write, write_json
 from .inversion import (
+    partition_end,
     radial_inverse_fourier,
     radial_inverse_fourier_many,
     radial_symbol_integral,
@@ -41,6 +42,7 @@ from .special import bessel_j, gamma
 UNITARY_RADIUS_SCALE = 2.0 * np.pi  # unitary-frequency radius R = 2 pi |x|
 
 _ENVELOPE_LOG_CUT = 60.0  # exp(-60) ~ 9e-27: where exponential envelopes die
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # ~1.34e154: r * r overflows above it
 
 
 def _invert(symbol, x_norm, n, quad, **options):
@@ -187,11 +189,24 @@ def heat_tail_constant(params):
 
 
 def _rational_kernel(symbol, x_norm, params, quad):
+    """The inverse transform of a rational symbol, which squares r.
+
+    Its partition runs to ``inversion.partition_end``, about
+    max_zeros / (2 |x|); where that end's square overflows, the symbol would
+    read inf or nan there, so such a radius raises ``ValueError`` before any
+    panel is built (from |x| ~ 1.5e-152 at the default 400 zeros).
+    """
     x = np.asarray(x_norm)
     if np.any(x < 0):
         raise ValueError("x_norm must be nonnegative")
     if np.any(x == 0.0) and params.n >= 2:
         raise ValueError("kernel is singular at the origin for n >= 2")
+    if np.any(x > 0):
+        smallest = float(x[x > 0].min())
+        if not partition_end(smallest, params.n, quad) <= _SQRT_MAX:
+            raise ValueError(
+                f"|x| = {smallest:g} is too small: the Bessel-zero partition "
+                f"ends past r = {_SQRT_MAX:.3g}, where the symbol's r^2 overflows")
     return _invert(symbol, x_norm, params.n, quad, envelope_scale=0.5)
 
 
@@ -317,6 +332,8 @@ def tabulate_kernel(label, radii, params, quad=DEFAULT_QUAD, **extra):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii)):
         raise ValueError("radii must be a nonempty list of finite numbers")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
     values = evaluate(radii, params, quad, **extra)
     return RadialProfile(radii=radii, values=values, params=params, label=label)
 

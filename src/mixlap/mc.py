@@ -45,21 +45,23 @@ sub-batch is drawn into its own rows, reduced block by block into the cosine
 sums and shell counts, and dropped, so its memory is that of the sub-batches
 in flight (about 13 MB at n = 3 with two workers, against 24 MB of points at
 10^6 samples).  Both paths feed the same block statistics and report
-builders.
+builders.  ``stream_checks`` is the pass ``mc-validate`` runs; the stored
+batch is its serial reference, with the single-component modes besides.
 
 Shift: each frequency's cosines are summed less the closed-form target of the
 batch's mode, the value the report compares against, so the sum of squares
 does not cancel when the spread is small against the mean, and no block has
 to be reduced before the others.
 
-Threads: the sub-batches and the checks' blocks are independent units of work,
-mapped over ``worker_count()`` threads (at most two; numpy releases the GIL in
-this work).  A sub-batch draws from its own spawned generator into its own
-rows, and the blocks' partial sums are added in block order, so every result
-is bitwise the same whatever the worker count.  At most two units, and so two
-units' temporaries, are in flight at a time.  The heat-kernel values of the
-density check run on the calling thread: in ``stream_checks`` while the
-workers draw and reduce the sub-batches.
+Threads: only ``stream_checks`` uses them.  Its sub-batches are independent
+units of work, mapped over ``worker_count()`` threads (at most two; numpy
+releases the GIL in this work), while the calling thread computes the
+density check's heat-kernel values.  A sub-batch draws from its own spawned
+generator into its own rows, and the blocks' partial sums are added in block
+order, so every result is bitwise the same whatever the worker count, and
+equal to the stored batch's checks, which run on the calling thread.  At
+most two sub-batches, and so two sub-batches' temporaries, are in flight at
+a time.
 
 Input: ``t`` must be finite and positive and ``count`` at least 1, or
 ``sample_mixed`` raises ``ValueError``; the characteristic-function check
@@ -100,12 +102,6 @@ def worker_count():
     return min(2, cpus)
 
 
-def _map(fn, items):
-    """``[fn(item) for item in items]`` on ``worker_count()`` threads, in order."""
-    with ThreadPoolExecutor(worker_count()) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
 class SampleBatch:
     """Draws of the mixture process at a fixed time."""
@@ -114,13 +110,8 @@ class SampleBatch:
     params: KernelParams
     count: int
     seed: int
-    points: np.ndarray
+    points: np.ndarray  # (count, n)
     mode: str = "mixed"
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.shape != (self.count, self.params.n):
-            raise ValueError("points must have shape (count, n)")
 
 
 def _half_angle_tan(phase, scratch):
@@ -229,21 +220,17 @@ def sample_mixed(t, params, count, seed, mode="mixed"):
     ``mode`` disables one component for convention gating: "gaussian" keeps
     only the Brownian part, "stable" only the 2s-stable part.  Sampling is
     split into fixed-size sub-batches whose generators are spawned from the
-    master SeedSequence in order, so the result is independent of how the
-    work is distributed over threads.  Each sub-batch is drawn straight into
-    its rows of the one ``(count, n)`` points array.
+    master SeedSequence in order, the sub-batches of ``stream_checks``; each
+    is drawn, on the calling thread, straight into its rows of the one
+    ``(count, n)`` points array.
     """
     _check_sampling(t, count, mode)
     points = np.empty((count, params.n))
     starts = range(0, count, _SUB_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(starts))
-
-    def draw(job):
-        start, child = job
+    for start, child in zip(starts, children):
         _sample_chunk(t, params, points[start:start + _SUB_BATCH],
                       np.random.default_rng(child), mode)
-
-    _map(draw, zip(starts, children))
     return SampleBatch(t=t, params=params, count=count, seed=seed, points=points,
                        mode=mode)
 
@@ -315,18 +302,16 @@ def _shell_volumes(edges, n):
 def _shell_probabilities(edges, t, params, quad):
     """Heat-kernel mass of each shell: an 8-node Gauss rule in the radius.
 
-    One ``heat_kernel`` call a shell evaluates its 8 nodes together.
+    One ``heat_kernel`` call evaluates every shell's nodes, a row of 8 per
+    shell.
     """
     n = params.n
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    area = sphere_surface_area(n)
-    probs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid + half * gl_x
-        kern = heat_kernel(nodes, t, params, quad)
-        probs.append(area * np.sum(half * gl_w * kern * nodes ** (n - 1)))
-    return probs
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * gl_x
+    kern = heat_kernel(nodes.ravel(), t, params, quad).reshape(nodes.shape)
+    masses = np.sum(half[:, None] * gl_w * kern * nodes ** (n - 1), axis=1)
+    return sphere_surface_area(n) * masses
 
 
 # -- reports
@@ -417,7 +402,7 @@ def empirical_char_function(batch, xis):
     _check_char_count(batch.count)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     shift = _char_target(batch.t, batch.params, batch.mode, xis)
-    parts = _map(lambda block: _cosine_sums(block, xis, shift), _blocks(batch.points))
+    parts = [_cosine_sums(block, xis, shift) for block in _blocks(batch.points)]
     return _char_estimate(shift, parts, batch.count)
 
 
@@ -442,8 +427,8 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD):
     standard errors.  Shell counts are taken block by block.
     """
     edges = _shell_edges(radii)
-    counts = np.sum(_map(lambda block: _shell_counts(block, edges),
-                         _blocks(batch.points)), axis=0)
+    counts = np.sum([_shell_counts(block, edges) for block in _blocks(batch.points)],
+                    axis=0)
     probs = _shell_probabilities(edges, batch.t, batch.params, quad)
     return _density_report(edges, counts, probs, batch.t, batch.params.n,
                            batch.count, batch.seed)

@@ -96,21 +96,6 @@ class GridSpec:
     def shape(self):
         return (self.N,) * self.n
 
-    def axis(self):
-        """Physical coordinates along one axis."""
-        return -self.L + self.spacing * np.arange(self.N)
-
-    def meshgrid(self):
-        ax = self.axis()
-        return np.meshgrid(*([ax] * self.n), indexing="ij")
-
-    def radius(self, center=None):
-        """Distance from ``center`` (grid point coordinates) at every node."""
-        mesh = self.meshgrid()
-        if center is None:
-            center = (0.0,) * self.n
-        return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
-
     def dot(self, a, b):
         """Sum of a * b over the box's N^n points, without a temporary grid array."""
         return float(np.dot(a.ravel(), b.ravel()))
@@ -129,9 +114,6 @@ class EvenGrid(GridSpec):
     @property
     def shape(self):
         return (self.N // 2 + 1,) * self.n
-
-    def axis(self):
-        return self.spacing * np.arange(self.N // 2 + 1)
 
     @property
     def full(self):
@@ -289,12 +271,12 @@ def _parseval_scale(grid):
     return (2.0 * grid.L) ** grid.n / float(grid.N) ** (2 * grid.n)
 
 
-def norms(f, params, p=None):
+def norms(f, params):
     """Discrete norms of a field.
 
-    Returns a dict with keys l2, h1_seminorm, hs_seminorm, linf, sobolev_s
-    and, when ``p`` is given, lp.  The L^2 quantities use the spectral
-    (Parseval-exact) quadrature; sobolev_s^2 = l2^2 + h1^2 + hs^2.
+    Returns a dict with keys l2, h1_seminorm, hs_seminorm, linf and
+    sobolev_s.  The L^2 quantities use the spectral (Parseval-exact)
+    quadrature; sobolev_s^2 = l2^2 + h1^2 + hs^2.
     """
     grid = f.grid
     w_sq = grid_symbol(grid, params.s).w_sq
@@ -311,18 +293,13 @@ def norms(f, params, p=None):
     l2_sq = scale * power.sum()
     h1_sq = scale * (w_sq * power).sum()
     hs_sq = scale * (w_sq ** params.s * power).sum()
-    out = {
+    return {
         "l2": float(np.sqrt(l2_sq)),
         "h1_seminorm": float(np.sqrt(h1_sq)),
         "hs_seminorm": float(np.sqrt(hs_sq)),
         "linf": float(np.abs(f.data).max()),
         "sobolev_s": float(np.sqrt(l2_sq + h1_sq + hs_sq)),
     }
-    if p is not None:
-        if p < 1:
-            raise ValueError("lp norm requires p >= 1")
-        out["lp"] = float((grid.cell_volume * (np.abs(f.data) ** p).sum()) ** (1.0 / p))
-    return out
 
 
 def positive_part_power(f, p, out=None):

@@ -272,15 +272,14 @@ def test_criterion_10_monte_carlo():
 
 def test_criterion_11_barriers():
     t0 = time.time()
-    radii = np.geomspace(2.0, 50.0, 25)
     pw = P2.n + 2.0 * P2.s
-    sub = A.barrier_subsolution(P2, radii=radii)
-    sup = A.barrier_supersolution(P2, radii=radii)
+    sub = A.barrier_subsolution(P2)  # at 25 geometric radii in [2, 50]
+    sup = A.barrier_supersolution(P2)
     c1 = float((sub.values * sub.radii ** pw).min())
     c2 = float((sup.values * sup.radii ** pw).max())
     fine = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_zeros=800)
-    sub_f = A.barrier_subsolution(P2, fine, radii=radii)
-    sup_f = A.barrier_supersolution(P2, fine, radii=radii)
+    sub_f = A.barrier_subsolution(P2, fine)
+    sup_f = A.barrier_supersolution(P2, fine)
     c1_f = float((sub_f.values * sub_f.radii ** pw).min())
     c2_f = float((sup_f.values * sup_f.radii ** pw).max())
     stable = abs(c1_f - c1) / c1 < 0.05 and abs(c2_f - c2) / c2 < 0.05

@@ -22,6 +22,8 @@ from mixlap import analysis as A
 from mixlap import kernels as K
 from mixlap import spectral as S
 
+import gridcoords
+
 P2 = KernelParams(2, 0.5)
 GRID = S.GridSpec(2, 10.0, 64)
 
@@ -78,45 +80,46 @@ def ball_shell_integral(x, a, params, rho=0.5):
 
 
 def radial_gaussian(grid, width=3.0):
-    return S.RealField(grid, np.exp(-grid.radius() ** 2 / width ** 2))
+    return S.RealField(grid, np.exp(-gridcoords.radius(grid) ** 2 / width ** 2))
 
 
 class TestRadialAverage:
     def test_constant_field(self):
-        prof = A.radial_average(S.RealField(GRID, np.full(GRID.shape, 4.2)))
+        prof = A.radial_average(S.RealField(GRID, np.full(GRID.shape, 4.2)), P2)
         assert np.allclose(prof.values, 4.2)
 
     def test_painted_radial_round_trip(self):
-        # paint a smooth radial function on the grid and read it back
-        center = (GRID.N // 2, GRID.N // 2)
-        r = GRID.radius(center=(0.0, 0.0))
+        # paint a smooth radial function about the grid's middle point, its
+        # peak, and read it back
+        r = gridcoords.radius(GRID)
         u = S.RealField(GRID, np.exp(-r ** 2 / 9.0))
-        prof = A.radial_average(u, center=center)
+        assert A.peak_index(u) == (GRID.N // 2, GRID.N // 2)
+        prof = A.radial_average(u, P2)
         exact = np.exp(-prof.radii ** 2 / 9.0)
         inner = prof.radii < GRID.L / 2
         assert np.abs(prof.values[inner] - exact[inner]).max() < 1e-3
 
     def test_off_center_spike(self):
+        # a spike 8 steps from the peak lands in the shell 8 steps out
         data = np.zeros(GRID.shape)
+        data[32, 32] = 2.0
         data[40, 32] = 1.0
-        u = S.RealField(GRID, data)
-        center = (32, 32)
-        prof = A.radial_average(u, center=center)
-        spike_r = 8 * GRID.spacing
-        assert abs(prof.radii[np.argmax(prof.values)] - spike_r) <= GRID.spacing
+        prof = A.radial_average(S.RealField(GRID, data), P2)
+        outer = np.flatnonzero(prof.values[1:]) + 1
+        assert len(outer) == 1
+        assert abs(prof.radii[outer[0]] - 8 * GRID.spacing) <= GRID.spacing
 
-    @pytest.mark.parametrize("center", [None, (37, 90)], ids=["peak", "off-peak"])
-    def test_points_whole_steps_out_land_in_their_shell(self, center):
+    @pytest.mark.parametrize("peak", [(64, 64), (37, 90)], ids=["peak", "off-peak"])
+    def test_points_whole_steps_out_land_in_their_shell(self, peak):
         # spacing 14.6 / 128 is no binary fraction: float radii about the
         # middle point put 164 of the 16,384 points exactly m steps out into
         # shell m - 1, and 116 about (37, 90)
         grid = S.GridSpec(2, 7.3, 128)
-        peak = (64, 64) if center is None else center
         i, j = np.indices(grid.shape)
         keys = (i - peak[0]) ** 2 + (j - peak[1]) ** 2
         shell = np.vectorize(math.isqrt)(keys)
         # the exact shell index, negated so that the field peaks at ``peak``
-        prof = A.radial_average(S.RealField(grid, -shell.astype(float)), center=center)
+        prof = A.radial_average(S.RealField(grid, -shell.astype(float)), P2)
         assert np.array_equal(-prof.values, np.arange(shell.max() + 1))
         steps = np.arange(1, shell.max() + 1)
         assert np.all(prof.radii[1:] >= steps * grid.spacing)
@@ -126,7 +129,7 @@ class TestRadialAverage:
     def test_matches_float_coordinates_on_binary_spacings(self, solved_fields, which):
         u = {"gaussian": radial_gaussian(GRID),
              "n2": solved_fields[0], "n3": solved_fields[1]}[which]
-        prof = A.radial_average(u)
+        prof = A.radial_average(u, KernelParams(u.grid.n, 0.5))
         radii, values = float_coordinate_average(u)
         assert len(prof.radii) == len(radii)
         assert np.abs(prof.values - values).max() <= 1e-15 * np.abs(u.data).max()
@@ -134,7 +137,7 @@ class TestRadialAverage:
         assert prof.radii[0] == 1e-12 and radii[0] == 0.0
 
 
-def float_coordinate_average(u, center=None):
+def float_coordinate_average(u):
     """``radial_average`` as it was before exact orbit keys: float radii from
     the grid coordinates, binned by ``int(r / spacing)``, each shell at the
     mean radius of its points.
@@ -142,10 +145,8 @@ def float_coordinate_average(u, center=None):
     Kept as the oracle of the integer-keyed shells on spacings that are binary
     fractions, where both put every point in the same shell.
     """
-    if center is None:
-        center = A.peak_index(u)
-    ax = u.grid.axis()
-    r = u.grid.radius(center=tuple(float(ax[i]) for i in center)).ravel()
+    ax = gridcoords.axis(u.grid)
+    r = gridcoords.radius(u.grid, tuple(float(ax[i]) for i in A.peak_index(u))).ravel()
     which = (r / u.grid.spacing).astype(int)
     counts = np.bincount(which)
     mask = counts > 0
@@ -154,17 +155,15 @@ def float_coordinate_average(u, center=None):
     return radii, values
 
 
-def rounded_radius_deviation(u, center=None, r_max=None):
+def rounded_radius_deviation(u, r_max=None):
     """``symmetry_deviation`` as it was before exact orbit keys: radii rounded
     to 1e-8, a stable sort, ``np.unique`` and ``reduceat``.
 
     Kept as the oracle of the integer-keyed grouping.
     """
-    if center is None:
-        center = A.peak_index(u)
-    ax = u.grid.axis()
-    coords = tuple(float(ax[i]) for i in center)
-    r = np.round(u.grid.radius(center=coords), 8).ravel()
+    ax = gridcoords.axis(u.grid)
+    coords = tuple(float(ax[i]) for i in A.peak_index(u))
+    r = np.round(gridcoords.radius(u.grid, coords), 8).ravel()
     order = np.argsort(r, kind="stable")
     r_sorted, v_sorted = r[order], u.data.ravel()[order]
     _, start = np.unique(r_sorted, return_index=True)
@@ -205,22 +204,23 @@ class TestSymmetryDeviation:
         assert got == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_orbit_keys_are_squared_grid_distances(self):
-        keys = A._orbit_keys(S.RealField(GRID, np.zeros(GRID.shape)), (30, 33))
+        data = np.zeros(GRID.shape)
+        data[30, 33] = 1.0
+        keys = A._orbit_keys(S.RealField(GRID, data))
         i, j = np.indices(GRID.shape)
         assert np.array_equal(keys, (i - 30) ** 2 + (j - 33) ** 2)
 
     def test_exactly_radial(self):
         u = radial_gaussian(GRID)
-        center = (GRID.N // 2, GRID.N // 2)
-        assert A.symmetry_deviation(u, center=center) < 1e-12
+        assert A.symmetry_deviation(u) < 1e-12
 
     def test_dipole_perturbation(self):
         eps = 1e-3
-        X, _ = GRID.meshgrid()
-        base = np.exp(-GRID.radius() ** 2 / 9.0)
+        X, _ = gridcoords.meshgrid(GRID)
+        base = np.exp(-gridcoords.radius(GRID) ** 2 / 9.0)
         u = S.RealField(GRID, base + eps * X * base)
-        center = (GRID.N // 2, GRID.N // 2)
-        dev = A.symmetry_deviation(u, center=center)
+        assert A.peak_index(u) == (GRID.N // 2, GRID.N // 2)
+        dev = A.symmetry_deviation(u)
         scale = eps * np.abs(X * base).max() / u.data.max()
         assert 0.5 * scale <= dev <= 2.0 * scale
 
@@ -229,9 +229,8 @@ class TestSymmetryDeviation:
         # corrupt one member of a far two-point orbit; the guarded audit
         # must not see it
         u.data[0, GRID.N // 2] += 0.5
-        center = (GRID.N // 2, GRID.N // 2)
-        assert A.symmetry_deviation(u, center=center) > 0.1
-        assert A.symmetry_deviation(u, center=center, r_max=5.0) < 1e-12
+        assert A.symmetry_deviation(u) > 0.1
+        assert A.symmetry_deviation(u, r_max=5.0) < 1e-12
 
     def test_empty_window_rejected(self):
         u = radial_gaussian(GRID)
@@ -295,21 +294,22 @@ class TestBarriers:
     def test_monotonicity_envelopes(self, n):
         # vol(B_1/2) K(r + 1/2) <= barrier(r) <= vol(B_1/2) K(r - 1/2)
         params = KernelParams(n, 0.5)
-        radii = np.array([2.0, 5.0, 12.0, 30.0])
-        prof = A.barrier_subsolution(params, radii=radii)
+        prof = A.barrier_subsolution(params)
         vol = np.pi ** (n / 2.0) * 0.5 ** n / gamma(n / 2.0 + 1.0)
-        for r, v in zip(radii, prof.values):
-            assert v <= vol * bessel_kernel(r - 0.5, params) * (1 + 1e-6)
-            assert v >= vol * bessel_kernel(r + 0.5, params) * (1 - 1e-6)
+        assert np.all(prof.values <= vol * bessel_kernel(prof.radii - 0.5, params) * (1 + 1e-6))
+        assert np.all(prof.values >= vol * bessel_kernel(prof.radii + 0.5, params) * (1 - 1e-6))
 
     @pytest.mark.parametrize("a", [1.0, 0.5])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ball_convolution_matches_a_spatial_double_integral(self, n, a):
-        params, x = KernelParams(n, 0.5), 10.0
-        oracle = ball_double_integral(x, a, params)
+        # at the barriers' middle radius, 10 (2 * 25^(12/24))
+        params = KernelParams(n, 0.5)
         barrier = A.barrier_subsolution if a == 1.0 else A.barrier_supersolution
-        got = barrier(params, radii=np.array([x])).values[0]
-        assert got == pytest.approx(oracle, rel=1e-9, abs=0)
+        prof = barrier(params)
+        x = prof.radii[12]
+        assert x == pytest.approx(10.0, rel=1e-15)
+        oracle = ball_double_integral(x, a, params)
+        assert prof.values[12] == pytest.approx(oracle, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("n, x", [(3, 10.0), (4, 0.0)])
     def test_shell_oracle_matches_the_double_integral(self, n, x):
@@ -339,11 +339,10 @@ class TestBarriers:
             bessel_kernel_ball(x, 1.0, KernelParams(3, 0.5))
 
     def test_supersolution_envelope(self):
-        radii = np.array([2.0, 8.0, 25.0])
-        prof = A.barrier_supersolution(P2, radii=radii)
+        prof = A.barrier_supersolution(P2)
         vol = np.pi * 0.25
-        for r, v in zip(radii, prof.values):
-            assert v >= vol * bessel_kernel_shifted(r + 0.5, 0.5, P2) * (1 - 1e-6)
+        envelope = vol * bessel_kernel_shifted(prof.radii + 0.5, 0.5, P2)
+        assert np.all(prof.values >= envelope * (1 - 1e-6))
 
     def test_refinement_stability(self):
         coarse = A.barrier_subsolution(P2)
@@ -352,10 +351,6 @@ class TestBarriers:
         c_coarse = (coarse.values * coarse.radii ** 3.0).min()
         c_fine = (fine.values * fine.radii ** 3.0).min()
         assert abs(c_fine - c_coarse) / c_fine < 0.05
-
-    def test_radii_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            A.barrier_subsolution(P2, radii=np.array([0.5, 2.0]))
 
 
 class TestSmoothnessDiagnostic:

@@ -21,6 +21,8 @@ from mixlap.fileio import write_json
 from mixlap.params import QuadratureSpec
 from mixlap.solver import SolverConfig
 
+import gridcoords
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -94,6 +96,7 @@ class TestKernelTab:
         pytest.param(["--radii", ""], "radii", id="radii-empty"),
         pytest.param(["--radii", "1,nan"], "radii", id="radii-nan"),
         pytest.param(["--radii", "1,inf"], "radii", id="radii-inf"),
+        pytest.param(["--radii", "2,1"], "strictly increasing", id="radii-decreasing"),
         pytest.param(["--kernel", "bessel", "--t", "1"], "does not take --t",
                      id="bessel-with-t"),
         pytest.param(["--kernel", "heat", "--t", "1", "--a", "1"], "does not take --a",
@@ -112,6 +115,15 @@ class TestKernelTab:
                 "--output-dir", str(tmp_path / "o")] + args
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", ["bessel", "resolvent-multiplier"])
+    def test_tiny_radius_is_usage_error(self, tmp_path, capsys, kernel):
+        # the partition would reach r ~ 1e162, where the symbol's r^2 overflows
+        out = tmp_path / "o"
+        assert main(["kernel-tab", "--n", "3", "--s", "0.5", "--kernel", kernel,
+                     "--radii", "1e-160", "--output-dir", str(out)]) == 2
+        assert "|x| = 1e-160 is too small" in capsys.readouterr().err
+        assert not (out / f"{kernel}.csv").exists()
 
     def test_writes_nothing_outside_output_dir(self, tmp_path, monkeypatch):
         home = tmp_path / "home"
@@ -180,8 +192,8 @@ class TestSolveAnalyze:
         # u = 1 - |x|/8 turns negative inside the fit window (5, 12)
         grid = spectral.GridSpec(2, 30.0, 128)
         path = tmp_path / "u.bin"
-        spectral.write_field(path, spectral.RealField(grid, 1.0 - grid.radius() / 8.0),
-                             s=0.5, p=3.0)
+        u = spectral.RealField(grid, 1.0 - gridcoords.radius(grid) / 8.0)
+        spectral.write_field(path, u, s=0.5, p=3.0)
         out = tmp_path / "an"
         assert main(["analyze", "--field", str(path), "--output-dir", str(out)]) == 1
         by_check = {rec["check"]: rec for rec in read_json(out / "analyze.json")}

@@ -1,6 +1,7 @@
 """Heat and Bessel kernels: identities, bounds, profiles and tabulation."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,35 @@ class TestBesselKernel:
         assert slope == pytest.approx(-1.0, abs=0.1)
 
 
+class TestTinyRadii:
+    """A rational kernel's partition ends near max_zeros / (2 |x|); below
+    |x| ~ 1.5e-152 (400 zeros) its symbol's r^2 would overflow there."""
+
+    @pytest.mark.parametrize("x", [1e-155, 1e-160, 1e-300, 1e-304, 1e-307, 5e-324])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_refused_before_any_quadrature(self, n, x, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(K, "_invert", no_quadrature)
+        params = KernelParams(n, 0.5)
+        message = re.escape(f"|x| = {x:g} is too small")
+        for kernel in (K.bessel_kernel, K.resolvent_multiplier_kernel,
+                       lambda r, p: K.bessel_kernel_shifted(r, 0.5, p)):
+            with pytest.raises(ValueError, match=message):
+                kernel(x, params)
+            with pytest.raises(ValueError, match=message):
+                kernel(np.array([1.0, x]), params)
+
+    def test_values_down_to_the_floor(self):
+        # near the origin K(x) = pi / |x| at n = 3, and 2 pi ln(1 / |x|) plus
+        # a constant at n = 2
+        for x in (1e-100, 1e-150, 1e-151, 1.6e-152):
+            assert K.bessel_kernel(x, P3) == pytest.approx(np.pi / x, rel=1e-12)
+        step = K.bessel_kernel(1e-151, P2) - K.bessel_kernel(1e-150, P2)
+        assert step == pytest.approx(2.0 * np.pi * np.log(10.0), rel=1e-12)
+
+
 class TestClosedFormBessel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kernels_match_the_jv_path(self, n, monkeypatch):
@@ -283,6 +313,15 @@ class TestTabulation:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             K.tabulate_kernel("nope", np.array([1.0]), P2)
+
+    @pytest.mark.parametrize("radii", [[2.0, 1.0], [1.0, 1.0], [0.5, 2.0, 1.0]])
+    def test_radius_order_checked_before_any_kernel_value(self, monkeypatch, radii):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel evaluated")
+
+        monkeypatch.setattr(K, "bessel_kernel", no_kernel)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            K.tabulate_kernel("bessel", radii, P2)
 
     def test_one_kernel_call_for_all_radii(self, monkeypatch):
         calls = []

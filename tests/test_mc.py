@@ -251,9 +251,9 @@ def _concatenating_sampler(t, params, count, seed, mode):
 
 
 def _serial_char_function(points, xis, t, s):
-    """The characteristic-function block loop of a mixed batch, without threads.
+    """The characteristic-function block loop of a mixed batch, written out.
 
-    Kept as the oracle that the threaded check subtracts the closed-form
+    Kept as the oracle that the block check subtracts the closed-form
     mixed target and adds the same row-contiguous block sums in the same
     order, its cosines those of ``mc._cos`` row by row.
     """
@@ -356,55 +356,56 @@ def _shell_counts(report):
 
 
 class TestWorkers:
-    """Results do not depend on how many threads the oracle uses."""
+    """The streamed pass's results do not depend on how many threads it uses,
+    and equal those of the stored batch, drawn and checked on the calling
+    thread."""
 
     def test_worker_count_is_one_or_two(self):
         assert mc.worker_count() in (1, 2)
 
     @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
-    def test_points_bitwise_equal_across_worker_counts(self, monkeypatch, mode):
-        one, two = (_with_workers(monkeypatch, w, mc.sample_mixed, 0.7, P3,
-                                  MULTI_BLOCK_COUNT, 31, mode).points for w in (1, 2))
-        assert one.tobytes() == two.tobytes()
-        assert one.tobytes() == _concatenating_sampler(0.7, P3, MULTI_BLOCK_COUNT, 31,
-                                                       mode).tobytes()
+    def test_stored_batch_uses_no_threads(self, monkeypatch, mode):
+        def no_threads(*args):
+            raise AssertionError("the stored batch asked for threads")
 
-    def test_char_function_bitwise_equal_to_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(mc, "worker_count", no_threads)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_threads)
+        batch = mc.sample_mixed(0.7, P3, MULTI_BLOCK_COUNT, 31, mode)
+        assert batch.points.tobytes() == _concatenating_sampler(
+            0.7, P3, MULTI_BLOCK_COUNT, 31, mode).tobytes()
+        mc.validate_char_function(batch, [[0.3, 0.1, -0.2]])
+        mc.compare_density(batch, DENSITY_EDGES)
+
+    def test_char_function_bitwise_equal_to_serial_loop(self):
         batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
         want_vals, want_ses = _serial_char_function(batch.points, xis, 1.0, P3.s)
-        for workers in (1, 2):
-            vals, ses = _with_workers(monkeypatch, workers, mc.empirical_char_function,
-                                      batch, xis)
-            assert np.array_equal(vals, want_vals)
-            assert np.array_equal(ses, want_ses)
+        vals, ses = mc.empirical_char_function(batch, xis)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(ses, want_ses)
 
     def test_density_counts_equal_across_worker_counts(self, monkeypatch):
-        batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
-        one, two = (_shell_counts(_with_workers(monkeypatch, w, mc.compare_density,
-                                                batch, DENSITY_EDGES))
-                    for w in (1, 2))
-        assert one == two
+        points = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17).points
+        want, _ = np.histogram(np.linalg.norm(points, axis=1), DENSITY_EDGES)
+        xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
+        for workers in (1, 2):
+            density = _with_workers(monkeypatch, workers, mc.stream_checks, 1.0, P3,
+                                    MULTI_BLOCK_COUNT, 17, xis, DENSITY_EDGES)[1]
+            assert _shell_counts(density) == want.tolist()
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # a thread switch every 10 us interleaves the workers' Python steps
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
-
-        def run(workers):
-            batch = _with_workers(monkeypatch, workers, mc.sample_mixed, 1.0, P3,
-                                  MULTI_BLOCK_COUNT, 23)
-            return (batch.points.tobytes(),
-                    mc.empirical_char_function(batch, xis)[0].tobytes(),
-                    _shell_counts(mc.compare_density(batch, DENSITY_EDGES)))
-
-        want = run(1)
+        want = _stored_checks(1.0, P3, MULTI_BLOCK_COUNT, 23, xis, DENSITY_EDGES)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            got = run(4)
+            got = [_with_workers(monkeypatch, workers, mc.stream_checks, 1.0, P3,
+                                 MULTI_BLOCK_COUNT, 23, xis, DENSITY_EDGES)[:2]
+                   for workers in (1, 2, 4)]
         finally:
             sys.setswitchinterval(interval)
-        assert got == want
+        assert all(reports == want for reports in got)
 
 
 MC_EDGES = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10)))  # mc-validate's

@@ -50,9 +50,9 @@ def test_traced_monte_carlo_checks():
         tracer.uninstall()
     (sample,) = [sp for sp in tracer.spans if sp.name == "mc.sample_mixed"]
     assert sample.attrs["samples"] == count
-    # 10 shells of 8 Gauss nodes, one heat_kernel call a shell seen through
+    # 10 shells of 8 Gauss nodes, all in one heat_kernel call seen through
     # mc's own name
-    assert metrics["mc.compare_density.heat_kernel_calls"]["value"] == 10
+    assert metrics["mc.compare_density.heat_kernel_calls"]["value"] == 1
     assert metrics["mc.sample_mixed.samples_per_s"]["value"] > 0
     assert metrics["mc.validate_char_function.ms"]["value"] > 0
 
@@ -79,9 +79,9 @@ def test_traced_mc_validate_keeps_traced_calls_on_the_calling_thread(tmp_path):
         tracer.uninstall()
     assert code == 0
     assert threads == {threading.get_ident()}
-    # 10 shells of 8 Gauss nodes, one call a shell, on the calling thread while
-    # sub-batch 0 is drawn
-    assert sum(sp.name == "kernels.heat_kernel" for sp in tracer.spans) == 10
+    # 10 shells of 8 Gauss nodes in one call, on the calling thread while the
+    # workers draw the sub-batches
+    assert sum(sp.name == "kernels.heat_kernel" for sp in tracer.spans) == 1
     for sp in tracer.spans:
         if sp.parent is not None:
             assert sp.parent.start <= sp.start <= sp.end <= sp.parent.end, sp.name
