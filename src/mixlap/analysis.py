@@ -74,22 +74,21 @@ def radial_average(u, params):
     )
 
 
-def symmetry_deviation(u, r_max=None):
+def symmetry_deviation(u, r_max):
     """Max deviation from exact radial symmetry about the field's peak, relative to it.
 
     Computes max |u(x) - orbit mean at |x - c|| / max(u) over grid points, c
     the peak (``peak_index``), the points of exactly equal radius grouped
     into one orbit by their integer squared grid distance from c
-    (``_orbit_keys``), so that a radial field scores 0.  ``r_max`` restricts
-    the audit to |x - c| <= r_max; on a periodic box the images of the
-    solution break symmetry near the boundary, so decay-dominated fields
-    should be audited inside a guard radius.
+    (``_orbit_keys``), so that a radial field scores 0.  The audit covers
+    |x - c| <= r_max, a guard radius: on a periodic box the images of the
+    solution break symmetry near the boundary, so a whole-box audit
+    (r_max = inf) measures the images, and ``analyze`` audits inside L/3.
     """
     keys = _orbit_keys(u).ravel()
-    vals = u.data.ravel()
-    if r_max is not None:  # an orbit lies wholly inside or wholly outside
-        inside = u.grid.spacing * np.sqrt(keys) <= r_max
-        keys, vals = keys[inside], vals[inside]
+    # an orbit lies wholly inside the guard radius or wholly outside it
+    inside = u.grid.spacing * np.sqrt(keys) <= r_max
+    keys, vals = keys[inside], u.data.ravel()[inside]
     if len(vals) == 0:
         raise ValueError("no grid points inside r_max")
     sums = np.bincount(keys, weights=vals)

@@ -155,7 +155,7 @@ def _cmd_kernel_verify(args):
         direct = kernels.heat_kernel(x, t, params, quad)
         for branch in ("2s", "2"):
             errs.append(
-                abs(kernels.heat_kernel_rescaled(x, t, params, quad, branch) - direct)
+                abs(kernels.heat_kernel_rescaled(x, t, params, quad, branch=branch) - direct)
                 / abs(direct)
             )
     records.append(analysis.check_report(

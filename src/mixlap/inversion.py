@@ -20,12 +20,13 @@ and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
 a sum that has not converged by then raises ``AccuracyError``.
 
 Panels.  A panel on [lo, hi] is at most max(w, ``_REL_WIDTH`` lo) wide, where
-w is half the caller's ``envelope_scale`` (no less than 1e-8, and infinite
-without one): the symbols used here vary on a scale proportional to r away
-from the origin, and w resolves them near it.  The head's breaks are the
-dyadic ladder first 2^-30, ..., first/2, first, 2 first, ... up to its end,
-with first = min(w, end), so the 31 intervals below first take one panel
-each and each interval above it at most 2.  A zero interval takes at most 4
+w is half the caller's ``envelope_scale`` (no less than 1e-8): the symbols
+used here vary on a scale proportional to r away from the origin, and w
+resolves them near it.  Every call states its ``envelope_scale``, so this
+one rule sets every panel.  The head's breaks are the dyadic ladder
+first 2^-30, ..., first/2, first, 2 first, ... up to its end, with
+first = min(w, end), so the 31 intervals below first take one panel each
+and each interval above it at most 2.  A zero interval takes at most 4
 (the widest relative to its left end is the first at n = 1, [pi/2, 3 pi/2]
 over 2 pi |x|; rounding can make that one 5, but its block then takes 21).
 So a head takes at most 31 + 2 ceil(log2(end / first)) panels, at most 2,133
@@ -96,8 +97,7 @@ def partition_end(x_norm, n, quad):
 
 def _panel_counts(lo, hi, w_cap):
     """Panels for each interval [lo[i], hi[i]], each at most max(w_cap, _REL_WIDTH * lo) wide."""
-    # an infinite cap gives width / cap = 0, hence one panel
-    return np.maximum(1, np.ceil((hi - lo) / np.maximum(w_cap, _REL_WIDTH * lo)))
+    return np.ceil((hi - lo) / np.maximum(w_cap, _REL_WIDTH * lo))
 
 
 def _panelize(lo, hi, m):
@@ -120,7 +120,7 @@ def _panelize(lo, hi, m):
 
 def _head_breaks(hi, w_cap):
     """Breaks of the head [0, hi], geometrically refined toward 0."""
-    first = hi if not np.isfinite(w_cap) else min(hi, w_cap)
+    first = min(hi, w_cap)
     # continue the dyadic ladder upward so [first, hi] never degenerates into
     # one long interval whose relative panel cap is set by its small left end
     up = [first]
@@ -213,21 +213,22 @@ def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
     return area * val
 
 
-def radial_inverse_fourier(symbol, x_norm, n, quad=DEFAULT_QUAD, envelope_scale=None,
+def radial_inverse_fourier(symbol, x_norm, n, quad=DEFAULT_QUAD, *, envelope_scale,
                            r_max=None):
     """Inverse Fourier transform of a radial symbol, evaluated at |x| = x_norm.
 
     ``symbol`` must accept a 1-D numpy array of radii r >= 0 and return the
-    symbol values g(r), elementwise.  ``envelope_scale`` is the width on which
-    the symbol varies near r = 0: panels there are at most half of it wide,
-    and farther out at most half their distance from 0 (module docstring,
-    "Panels").  ``r_max`` truncates the partition where the caller knows the
-    envelope to be negligible.
+    symbol values g(r), elementwise.  ``envelope_scale`` >= 0 is the width on
+    which the symbol varies near r = 0: panels there are at most half of it
+    wide (no less than 1e-8), and farther out at most half their distance
+    from 0 (module docstring, "Panels").  ``r_max`` truncates the partition
+    where the caller knows the envelope to be negligible.
     """
-    return radial_inverse_fourier_many(symbol, [x_norm], n, quad, envelope_scale, r_max)[0]
+    return radial_inverse_fourier_many(symbol, [x_norm], n, quad,
+                                       envelope_scale=envelope_scale, r_max=r_max)[0]
 
 
-def radial_inverse_fourier_many(symbol, x_norms, n, quad=DEFAULT_QUAD, envelope_scale=None,
+def radial_inverse_fourier_many(symbol, x_norms, n, quad=DEFAULT_QUAD, *, envelope_scale,
                                 r_max=None):
     """``radial_inverse_fourier`` at each radius of the 1-D array ``x_norms``, in one pass.
 
@@ -235,18 +236,22 @@ def radial_inverse_fourier_many(symbol, x_norms, n, quad=DEFAULT_QUAD, envelope_
     ``radial_inverse_fourier`` at that radius; an error any radius raises
     there is raised here.
     """
+    if not 0.0 <= envelope_scale < math.inf:
+        raise ValueError("envelope_scale must be finite and nonnegative, "
+                         f"got {envelope_scale}")
     x_norms = np.asarray(x_norms, dtype=float)
     if x_norms.ndim != 1:
         raise ValueError("x_norms must be a 1-D array")
     xs = x_norms.tolist()
-    if not all(0.0 <= x < math.inf for x in xs):
-        raise ValueError("x_norm must be finite and nonnegative")
+    # 2 pi |x| scales the Bessel zeros: where it overflows they all read 0
+    if not all(0.0 <= x and 2.0 * math.pi * x < math.inf for x in xs):
+        raise ValueError("x_norm must be finite and nonnegative, and 2 pi x_norm finite")
     out = np.empty(len(xs))
     at_origin = [i for i, x in enumerate(xs) if x == 0.0]
     if at_origin:
         out[at_origin] = radial_symbol_integral(symbol, n, quad)
     rest = [i for i, x in enumerate(xs) if x != 0.0]
-    w_cap = np.inf if envelope_scale is None else max(envelope_scale / 2.0, 1e-8)
+    w_cap = max(envelope_scale / 2.0, 1e-8)
     for c in range(0, len(rest), _BATCH):
         chunk = rest[c : c + _BATCH]
         out[chunk] = _batch(symbol, [xs[i] for i in chunk], n, quad, w_cap, r_max)

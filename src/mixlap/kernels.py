@@ -142,7 +142,7 @@ def heat_kernel(x_norm, t, params, quad=DEFAULT_QUAD):
     return heat_kernel_two_scale(x_norm, t, t, params, quad)
 
 
-def heat_kernel_rescaled(x_norm, t, params, quad=DEFAULT_QUAD, branch="2s"):
+def heat_kernel_rescaled(x_norm, t, params, quad=DEFAULT_QUAD, *, branch):
     """H(x, t, t) evaluated through one of its two exact rescaling identities.
 
     branch "2s":  t^{-n/(2s)} H(t^{-1/(2s)} x, 1, t^{1-1/s})
@@ -194,7 +194,11 @@ def _rational_kernel(symbol, x_norm, params, quad):
     Its partition runs to ``inversion.partition_end``, about
     max_zeros / (2 |x|); where that end's square overflows, the symbol would
     read inf or nan there, so such a radius raises ``ValueError`` before any
-    panel is built (from |x| ~ 1.5e-152 at the default 400 zeros).
+    panel is built (from |x| ~ 1.5e-152 at the default 400 zeros).  Above
+    that floor, at n >= 4, the value itself (~|x|^{2-n}) or the integrand's
+    r^{n/2} can still overflow: a radius whose value is not finite raises
+    ``ValueError`` too, after the transform, which runs with numpy's
+    overflow and invalid-value warnings off.
     """
     x = np.asarray(x_norm)
     if np.any(x < 0):
@@ -207,7 +211,15 @@ def _rational_kernel(symbol, x_norm, params, quad):
             raise ValueError(
                 f"|x| = {smallest:g} is too small: the Bessel-zero partition "
                 f"ends past r = {_SQRT_MAX:.3g}, where the symbol's r^2 overflows")
-    return _invert(symbol, x_norm, params.n, quad, envelope_scale=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _invert(symbol, x_norm, params.n, quad, envelope_scale=0.5)
+    overflowed = ~np.isfinite(values)
+    if np.any(overflowed):
+        radius = float(np.atleast_1d(x)[np.atleast_1d(overflowed)].max())
+        raise ValueError(
+            f"|x| = {radius:g} is too small: at n = {params.n} the kernel value "
+            "or its integrand overflows there")
+    return values
 
 
 def bessel_kernel(x_norm, params, quad=DEFAULT_QUAD):

@@ -111,7 +111,7 @@ class SampleBatch:
     count: int
     seed: int
     points: np.ndarray  # (count, n)
-    mode: str = "mixed"
+    mode: str
 
 
 def _half_angle_tan(phase, scratch):
@@ -152,7 +152,7 @@ def _cos(phase, scratch):
     return phase
 
 
-def _one_sided_stable(s, size, rng, scratch=None):
+def _one_sided_stable(s, size, rng, scratch):
     """One-sided s-stable draws normalized to E exp(-lambda A) = exp(-lambda^s).
 
     Kanter's construction: with U uniform on (0, pi) and W standard
@@ -163,11 +163,9 @@ def _one_sided_stable(s, size, rng, scratch=None):
 
     Evaluated in place on the draws, in the order of the formula; W is drawn
     after U, as the stream has it, once the work on U has freed a buffer.
-    ``scratch``, a float array of ``size`` entries, holds the sines'
-    temporaries; without it one is allocated.
+    ``scratch``, a float array of ``size`` entries whose contents are
+    overwritten, holds the sines' temporaries.
     """
-    if scratch is None:
-        scratch = np.empty(size)
     u = rng.uniform(0.0, np.pi, size)
     a = _sin(np.multiply(s, u), scratch)
     a **= s / (1.0 - s)

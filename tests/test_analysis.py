@@ -197,8 +197,9 @@ class TestSymmetryDeviation:
     @pytest.mark.parametrize("which", [0, 1], ids=["n2", "n3"])
     @pytest.mark.parametrize("r_max", [None, 8.0 / 3.0])
     def test_matches_rounded_radius_oracle(self, solved_fields, which, r_max):
+        # None: the oracle audits the whole box, which r_max = inf audits here
         u = solved_fields[which]
-        got = A.symmetry_deviation(u, r_max=r_max)
+        got = A.symmetry_deviation(u, r_max=np.inf if r_max is None else r_max)
         want = rounded_radius_deviation(u, r_max=r_max)
         assert got > 0
         assert got == pytest.approx(want, rel=1e-10, abs=0)
@@ -212,7 +213,7 @@ class TestSymmetryDeviation:
 
     def test_exactly_radial(self):
         u = radial_gaussian(GRID)
-        assert A.symmetry_deviation(u) < 1e-12
+        assert A.symmetry_deviation(u, r_max=np.inf) < 1e-12
 
     def test_dipole_perturbation(self):
         eps = 1e-3
@@ -220,7 +221,7 @@ class TestSymmetryDeviation:
         base = np.exp(-gridcoords.radius(GRID) ** 2 / 9.0)
         u = S.RealField(GRID, base + eps * X * base)
         assert A.peak_index(u) == (GRID.N // 2, GRID.N // 2)
-        dev = A.symmetry_deviation(u)
+        dev = A.symmetry_deviation(u, r_max=np.inf)
         scale = eps * np.abs(X * base).max() / u.data.max()
         assert 0.5 * scale <= dev <= 2.0 * scale
 
@@ -229,7 +230,7 @@ class TestSymmetryDeviation:
         # corrupt one member of a far two-point orbit; the guarded audit
         # must not see it
         u.data[0, GRID.N // 2] += 0.5
-        assert A.symmetry_deviation(u) > 0.1
+        assert A.symmetry_deviation(u, r_max=np.inf) > 0.1
         assert A.symmetry_deviation(u, r_max=5.0) < 1e-12
 
     def test_empty_window_rejected(self):

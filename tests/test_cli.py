@@ -125,6 +125,16 @@ class TestKernelTab:
         assert "|x| = 1e-160 is too small" in capsys.readouterr().err
         assert not (out / f"{kernel}.csv").exists()
 
+    def test_overflowing_radius_is_usage_error(self, tmp_path, capsys):
+        # at n = 5 the partition fits, but the integrand's r^{n/2} overflows
+        out = tmp_path / "o"
+        assert main(["kernel-tab", "--n", "5", "--s", "0.5", "--kernel", "bessel",
+                     "--radii", "1e-130", "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "|x| = 1e-130 is too small" in err
+        assert "RuntimeWarning" not in err
+        assert not (out / "bessel.csv").exists()
+
     def test_writes_nothing_outside_output_dir(self, tmp_path, monkeypatch):
         home = tmp_path / "home"
         home.mkdir()

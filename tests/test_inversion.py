@@ -56,7 +56,7 @@ class TestClosedForms:
 
     def test_origin_value(self):
         # x = 0 reduces to the plain radial integral of the symbol
-        got = radial_inverse_fourier(gaussian_symbol(1.0), 0.0, 2)
+        got = radial_inverse_fourier(gaussian_symbol(1.0), 0.0, 2, envelope_scale=1.0)
         assert got == pytest.approx(np.pi, rel=1e-9)
 
     def test_symbol_integral(self):
@@ -67,17 +67,42 @@ class TestClosedForms:
 class TestEngineContracts:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            radial_inverse_fourier(gaussian_symbol(1.0), -0.5, 2)
+            radial_inverse_fourier(gaussian_symbol(1.0), -0.5, 2, envelope_scale=1.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_nonfinite_radius_rejected(self, x):
         message = "must be finite and nonnegative"
         with pytest.raises(ValueError, match=message):
-            radial_inverse_fourier(gaussian_symbol(1.0), x, 2)
+            radial_inverse_fourier(gaussian_symbol(1.0), x, 2, envelope_scale=1.0)
         with pytest.raises(ValueError, match=message):
-            radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5, x], 2)
+            radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5, x], 2, envelope_scale=1.0)
         with pytest.raises(ValueError, match=message):
             kernels.heat_kernel(x, 1.0, KernelParams(2, 0.5))
+
+    @pytest.mark.parametrize("scale", [-1.0, math.inf, math.nan])
+    def test_envelope_scale_must_be_finite_and_nonnegative(self, scale):
+        message = "envelope_scale must be finite and nonnegative"
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=scale)
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5], 2, envelope_scale=scale)
+
+    def test_zero_envelope_scale_keeps_the_floor(self):
+        # a heat scale that underflows to 0 still evaluates, with panels of
+        # at most 0.5e-8 near the origin
+        exact = np.pi * np.exp(-np.pi ** 2 * 0.25)
+        got = radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=0.0)
+        assert got == pytest.approx(exact, rel=1e-8)
+        many = radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5], 2, envelope_scale=0.0)
+        assert many.tolist() == [got]
+        assert got == radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=2e-8)
+
+    def test_radius_whose_bessel_argument_overflows_rejected(self):
+        # 2 pi |x| = inf would scale every Bessel zero to 0
+        with pytest.raises(ValueError, match="2 pi x_norm finite"):
+            radial_inverse_fourier(gaussian_symbol(1.0), 3e307, 2, envelope_scale=1.0)
+        with pytest.raises(ValueError, match="2 pi x_norm finite"):
+            kernels.bessel_kernel(np.array([1.0, 1e308]), KernelParams(3, 0.5))
 
     def test_accuracy_error_carries_estimate(self):
         # eight zeros of a slowly decaying envelope cannot meet tolerance
@@ -345,7 +370,7 @@ def reference_panel_counts(lo, hi, w_cap):
     counts = []
     for a, b in zip(lo, hi):
         cap = max(w_cap, inversion._REL_WIDTH * a)
-        counts.append(1 if not np.isfinite(cap) else max(1, int(np.ceil((b - a) / cap))))
+        counts.append(int(np.ceil((b - a) / cap)))
     return np.array(counts)
 
 
@@ -369,10 +394,11 @@ def assert_panels_match_linspace_loop(lo, hi, w_cap):
 
 
 class TestVectorisedEngine:
-    @pytest.mark.parametrize("w_cap", [np.inf, 0.3])
+    @pytest.mark.parametrize("w_cap", [100.0, 0.3])
     @pytest.mark.parametrize("rel_width", [0.0, 0.5])
     def test_panelize_matches_linspace_loop(self, w_cap, rel_width, monkeypatch):
-        # the relative cap switched off, and at its value in force
+        # the relative cap switched off, and at its value in force; a cap of
+        # 100 exceeds every spacing, so each interval is one panel
         monkeypatch.setattr(inversion, "_REL_WIDTH", rel_width)
         rng = np.random.default_rng(7)
         for size in (2, 3, 40, 400):
@@ -386,7 +412,8 @@ class TestVectorisedEngine:
                                               w_cap)
 
     def test_panelize_on_the_graded_head(self):
-        for hi, w_cap in ((0.4, np.inf), (3.7, 0.25), (50.0, 0.5), (1e-300, np.inf)):
+        # a cap above hi makes hi the top of the grading
+        for hi, w_cap in ((0.4, 1.0), (3.7, 0.25), (50.0, 0.5), (1e-300, 1e-8)):
             breaks = inversion._head_breaks(hi, w_cap)
             # strictly increasing from 0 to hi, also where the grading underflows
             assert breaks[0] == 0.0 and breaks[-1] == hi

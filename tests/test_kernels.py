@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,34 @@ class TestTinyRadii:
             assert K.bessel_kernel(x, P3) == pytest.approx(np.pi / x, rel=1e-12)
         step = K.bessel_kernel(1e-151, P2) - K.bessel_kernel(1e-150, P2)
         assert step == pytest.approx(2.0 * np.pi * np.log(10.0), rel=1e-12)
+
+    # (kernel, n, |x|): the value (~|x|^{2-n}, the resolvent's ~|x|^{1-n} at
+    # s = 1/2) is inf there, or nan where the integrand's r^{n/2} overflows
+    @pytest.mark.parametrize("kernel, n, x", [
+        ("resolvent", 4, 1e-110), ("resolvent", 4, 1e-130), ("bessel", 5, 1e-110),
+        ("bessel", 5, 1e-130), ("resolvent", 5, 1e-100), ("resolvent", 5, 1e-130)])
+    def test_overflowing_value_is_refused(self, kernel, n, x):
+        evaluate = {"bessel": K.bessel_kernel,
+                    "resolvent": K.resolvent_multiplier_kernel}[kernel]
+        params = KernelParams(n, 0.5)
+        message = re.escape(f"|x| = {x:g} is too small")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ValueError, match=message):
+                evaluate(x, params)
+            with pytest.raises(ValueError, match=message):
+                evaluate(np.array([x, 1.0]), params)
+
+    def test_values_at_n_4_and_5_down_to_their_overflow(self):
+        # near the origin the Bessel kernel is C(-2) |x|^{2-n} (1 / |x|^2 at
+        # n = 4), and the resolvent multiplier at s = 1/2 is C(-1) |x|^{1-n}
+        P4, P5 = KernelParams(4, 0.5), KernelParams(5, 0.5)
+        for x in (1e-100, 1e-130, 1.6e-152):
+            assert K.bessel_kernel(x, P4) == pytest.approx(x ** -2, rel=1e-12)
+        assert K.bessel_kernel(1e-100, P5) == pytest.approx(
+            K._far_field_coefficient(-2.0, 5) * 1e300, rel=1e-12)
+        assert K.resolvent_multiplier_kernel(1e-100, P4) == pytest.approx(
+            K._far_field_coefficient(-1.0, 4) * 1e300, rel=1e-12)
 
 
 class TestClosedFormBessel:

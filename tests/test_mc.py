@@ -60,7 +60,7 @@ class TestSubordinator:
         # E exp(-lambda A) = exp(-lambda^s) pins the normalization
         rng = np.random.default_rng(0)
         for s in (0.3, 0.5, 0.7):
-            a = mc._one_sided_stable(s, 400_000, rng)
+            a = mc._one_sided_stable(s, 400_000, rng, np.empty(400_000))
             for lam in (0.5, 1.0, 2.0):
                 vals = np.exp(-lam * a)
                 est = vals.mean()
@@ -68,11 +68,12 @@ class TestSubordinator:
                 assert abs(est - np.exp(-lam ** s)) < 4.0 * se
 
     def test_draws_bitwise_equal_with_and_without_scratch(self):
-        # the scratch's old contents must not reach the draws
-        with_scratch = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7),
-                                            np.full(1000, np.nan))
-        without = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7))
-        assert with_scratch.tobytes() == without.tobytes()
+        # the scratch's old contents must not reach the draws: scratch full
+        # of NaN and clean, zero-filled scratch give the same bits
+        dirty = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7),
+                                     np.full(1000, np.nan))
+        clean = mc._one_sided_stable(0.4, 1000, np.random.default_rng(7), np.zeros(1000))
+        assert dirty.tobytes() == clean.tobytes()
 
 
 def _half_angle(fn, phase):

@@ -131,7 +131,7 @@ class TestFrequencyUnits:
 
         errs = []
         for j in (0, 4, 8):  # |x| = 0, 4h and 8h along the first axis
-            ref = radial_inverse_fourier(symbol, j * grid.spacing, n)
+            ref = radial_inverse_fourier(symbol, j * grid.spacing, n, envelope_scale=1.0)
             errs.append(abs(u[(N // 2 + j,) + (N // 2,) * (n - 1)] - ref) / ref)
         return max(errs)
 
