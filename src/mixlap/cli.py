@@ -9,7 +9,8 @@ summary; mc-validate's adds its stage timings (``stages``).  Exit codes:
 
 Defaults may be supplied through a ``key = value`` config file (``#``
 comments allowed) named with ``--config``; explicit command-line flags win
-over file values.
+over file values.  A command line is parsed once, by its subcommand's own
+parser, with the file's lines as flags before its own.
 """
 
 import argparse
@@ -38,8 +39,14 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that raises ValueError on a usage error, not SystemExit.
 
     ``keys`` collects the dest of every option declared on it but ``--help``
-    and ``--config``: the keys a ``--config`` file may set.
+    and ``--config``: the keys a ``--config`` file may set.  A subcommand's
+    ``config_flag`` declares, in the same order, its options that start with
+    ``--c`` (``--config`` and the rivals an abbreviation of it may name): it
+    finds ``--config`` before the full parse, and resolves an abbreviation,
+    or finds it ambiguous, as the subcommand does.
     """
+
+    config_flag = None
 
     def __init__(self, *args, **kwargs):
         self.keys = set()
@@ -49,6 +56,8 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         if action.dest not in ("help", "config"):
             self.keys.add(action.dest)
+        if self.config_flag is not None and args[0].startswith("--c"):
+            self.config_flag.add_argument(args[0])
         return action
 
     def error(self, message):
@@ -74,16 +83,28 @@ def _config_tokens(path, command):
 
 
 def _parse(argv):
-    """Parse argv, with the lines of its --config file as flags before its own.
+    """Parse argv once, with its command's parser; a --config file's lines go first.
 
     A file value thus gets the type and required-option checks of a flag, and
     a flag given on the command line wins (the last value parsed is kept).
+    The top-level parser runs only for --help, --version and a missing or
+    unknown command.  Every spelling argparse accepts for --config starts
+    with --c, so the --config pre-parse runs only where a token does.
     """
     parser = build_parser()
-    path = parser.config_flag.parse_known_args(argv)[0].config
-    if path and argv[0] in parser.commands:
-        argv = argv[:1] + _config_tokens(path, parser.commands[argv[0]]) + argv[1:]
-    return parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    rest = argv[1:]
+    if any(tok.startswith("--c") for tok in rest):
+        path = command.config_flag.parse_known_args(rest)[0].config
+        if path:
+            rest = _config_tokens(path, command) + rest
+    args, extra = command.parse_known_args(rest)
+    if extra:  # worded as the top-level parser words it
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _floats(text):
@@ -337,8 +358,7 @@ def build_parser():
 
     Safe to share: ``parse_args`` returns a fresh namespace on every call and
     leaves the parser unchanged.  Each subcommand declares only the options it
-    reads, and ``parser.commands`` maps its name to its parser;
-    ``parser.config_flag`` finds ``--config`` alone, before the full parse.
+    reads, and ``parser.commands`` maps its name to its parser.
     """
     parser = _Parser(
         prog="mixlap",
@@ -348,11 +368,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = {}
-    parser.config_flag = _Parser(add_help=False)
-    parser.config_flag.add_argument("--config")
 
     def command(name, run, help, quadrature=True, params=True):
         parser.commands[name] = p = sub.add_parser(name, help=help)
+        p.config_flag = _Parser(prog=p.prog, add_help=False)
         p.set_defaults(run=run)
         if params:  # analyze reads n and s from the field's header
             p.add_argument("--n", type=int, required=True, help="space dimension")

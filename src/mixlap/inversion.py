@@ -14,7 +14,10 @@ block Wynn's epsilon algorithm extrapolates the last 40 partial sums, and
 the sum stops once its error estimate meets the tolerance and agrees with
 the previous block's extrapolation to that same tolerance, or, where the
 partition ends, once the estimate alone meets the tolerance.  This is the
-only stop.
+only stop.  Where the partition goes on past block 1, block 1's test cannot
+stop the sum, as no extrapolation precedes it; its extrapolation is then
+read off the epsilon table of the first two blocks' sums, which block 2's
+test builds anyway, and no table of block 1's own is built.
 ``QuadratureSpec.max_zeros`` (or the caller's ``r_max``) caps the partition,
 and an ``r_max`` before the first zero leaves only the head, on [0, r_max];
 a sum that has not converged by then raises ``AccuracyError``.
@@ -162,7 +165,7 @@ def _integrate_pass(integrand, a, pieces, w_cap):
     return vals, owner, counts
 
 
-def _wynn_epsilon(partial_sums):
+def _wynn_epsilon(partial_sums, prefix=None):
     """Wynn epsilon extrapolation; returns (estimate, error_estimate).
 
     The estimate is the best-converged entry of the even epsilon columns
@@ -170,31 +173,52 @@ def _wynn_epsilon(partial_sums):
     deep columns are ruined by the 1/diff recursion once neighbouring
     entries agree to roundoff.  The table has at most 40 entries a column,
     so it is built on Python floats: numpy's per-call cost would dominate.
+
+    Given ``prefix``, returns that pair for all the sums and then the pair
+    for their first ``prefix``, each bitwise what a call on those sums alone
+    returns.  Column k of the prefix's table is the first prefix - k entries
+    of column k here, so it is read off this table; only where a column's
+    first bad entry lies past the prefix, which the prefix's table never
+    meets, is its table built on its own.
     """
     s = np.asarray(partial_sums, dtype=float).tolist()
-    if len(s) < 2:
-        return s[-1], math.inf
-    prev = [0.0] * len(s)  # the epsilon_{-1} column
+    m = len(s)
+    p = prefix or 0  # no prefix: its columns are never read
+    prev = [0.0] * m  # the epsilon_{-1} column
     cur = s
-    best_val, best_err = s[-1], abs(s[-1] - s[-2])
+    best_val, best_err = s[-1], abs(s[-1] - s[-2]) if m > 1 else math.inf
     last_even = s[-1]
-    for col in range(1, len(s)):
+    pre_val, pre_err = s[p - 1], abs(s[p - 1] - s[p - 2]) if p > 1 else math.inf
+    pre_last = s[p - 1]
+    pre = None
+    for col in range(1, m):
         nxt = []
-        for p, a, b in zip(prev[1:], cur, cur[1:]):
+        for q, a, b in zip(prev[1:], cur, cur[1:]):
             diff = b - a
             if abs(diff) < 1e-300:
-                return best_val, best_err
-            e = p + 1.0 / diff
+                break
+            e = q + 1.0 / diff
             if not math.isfinite(e):
-                return best_val, best_err
+                break
             nxt.append(e)
+        if len(nxt) < m - col:  # a bad entry, at index len(nxt), ends the table
+            if len(nxt) >= p - col > 0:
+                pre = _wynn_epsilon(s[:p])
+            break
         prev, cur = cur, nxt
         if col % 2 == 0:  # even columns approximate the limit
             err = abs(cur[-1] - last_even)
             last_even = cur[-1]
             if err < best_err:
                 best_val, best_err = cur[-1], err
-    return best_val, best_err
+            if col < p:
+                err = abs(cur[p - col - 1] - pre_last)
+                pre_last = cur[p - col - 1]
+                if err < pre_err:
+                    pre_val, pre_err = pre_last, err
+    if prefix is None:
+        return best_val, best_err
+    return (best_val, best_err), pre or (pre_val, pre_err)
 
 
 def radial_symbol_integral(symbol, n, quad=DEFAULT_QUAD):
@@ -221,8 +245,8 @@ def radial_inverse_fourier(symbol, x_norm, n, quad=DEFAULT_QUAD, *, envelope_sca
     symbol values g(r), elementwise.  ``envelope_scale`` >= 0 is the width on
     which the symbol varies near r = 0: panels there are at most half of it
     wide (no less than 1e-8), and farther out at most half their distance
-    from 0 (module docstring, "Panels").  ``r_max`` truncates the partition
-    where the caller knows the envelope to be negligible.
+    from 0 (module docstring, "Panels").  ``r_max`` > 0 truncates the
+    partition where the caller knows the envelope to be negligible.
     """
     return radial_inverse_fourier_many(symbol, [x_norm], n, quad,
                                        envelope_scale=envelope_scale, r_max=r_max)[0]
@@ -239,6 +263,8 @@ def radial_inverse_fourier_many(symbol, x_norms, n, quad=DEFAULT_QUAD, *, envelo
     if not 0.0 <= envelope_scale < math.inf:
         raise ValueError("envelope_scale must be finite and nonnegative, "
                          f"got {envelope_scale}")
+    if r_max is not None and not r_max > 0.0:
+        raise ValueError(f"r_max must be positive, got {r_max}")
     x_norms = np.asarray(x_norms, dtype=float)
     if x_norms.ndim != 1:
         raise ValueError("x_norms must be a 1-D array")
@@ -323,14 +349,23 @@ def _batch(symbol, xs, n, quad, w_cap, r_max):
         still = []
         for j in active:
             terms[j] = np.concatenate((terms[j], ready.pop((j, start))))
+            goes_on = start + _BLOCK < len(zeros[j]) - 1
+            if start == 0 and goes_on:
+                # the first test cannot stop a sum whose partition goes on:
+                # block 1's extrapolation is read off block 2's table instead
+                still.append(j)
+                continue
             sums = head[j] + np.cumsum(terms[j])
-            value, est = _wynn_epsilon(sums[-40:])
+            if start == _BLOCK:
+                (value, est), (previous[j], _) = _wynn_epsilon(sums, prefix=_BLOCK)
+            else:
+                value, est = _wynn_epsilon(sums[-40:])
             tol = max(abs_floor[j], quad.rel_tol * abs(value))
             if est <= tol and abs(value - previous[j]) <= tol:
                 out[j] = pref[j] * value
                 continue
             previous[j] = value
-            if start + _BLOCK < len(zeros[j]) - 1:
+            if goes_on:
                 still.append(j)
             elif est > tol:
                 raise AccuracyError(

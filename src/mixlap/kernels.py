@@ -132,6 +132,9 @@ def heat_kernel_two_scale(x_norm, t1, t2, params, quad=DEFAULT_QUAD):
         return np.exp(-(t1 * r ** (2.0 * s) + t2 * r * r))
 
     scale, r_cut = _heat_scales(t1, t2, s)
+    if not r_cut > 0.0:  # (60 / t1)^{1/(2s)} underflows where t1 is huge and s small
+        raise ValueError(f"the heat envelope's cut underflows to {r_cut} at "
+                         f"t1 = {t1}, s = {s}")
     return _invert(symbol, x_norm, params.n, quad, envelope_scale=scale, r_max=r_cut)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mixlap
-from mixlap import kernels, mc, spectral
+from mixlap import cli, kernels, mc, spectral
 from mixlap.cli import build_parser, main
 from mixlap.errors import AccuracyError
 from mixlap.fileio import write_json
@@ -134,6 +134,14 @@ class TestKernelTab:
         assert "|x| = 1e-130 is too small" in err
         assert "RuntimeWarning" not in err
         assert not (out / "bessel.csv").exists()
+
+    def test_heat_time_whose_cut_underflows_is_usage_error(self, tmp_path, capsys):
+        # the heat envelope's cut (60 / t)^{1/(2s)} underflows to 0.0
+        out = tmp_path / "o"
+        assert main(["kernel-tab", "--kernel", "heat", "--t", "1e100", "--n", "2",
+                     "--s", "0.05", "--radii", "1", "--output-dir", str(out)]) == 2
+        assert "t1 = 1e+100, s = 0.05" in capsys.readouterr().err
+        assert not (out / "heat.csv").exists()
 
     def test_writes_nothing_outside_output_dir(self, tmp_path, monkeypatch):
         home = tmp_path / "home"
@@ -508,6 +516,32 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    def test_ambiguous_abbreviation_opens_no_file(self, tmp_path, capsys, monkeypatch):
+        # --co could be --config or --count in mc-validate, and a file named 5
+        # exists: the pre-parse finds it ambiguous, as the command does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "5").write_text("seed = 3\n")
+        opened = []
+        monkeypatch.setattr(cli, "_config_tokens", lambda *a: opened.append(a) or [])
+        out = tmp_path / "o"
+        code = main(["mc-validate", "--n", "2", "--s", "0.5", "--co", "5",
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert ("ambiguous option: --co could match --config, --count"
+                in capsys.readouterr().err)
+        assert opened == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--conf", "--config", "--conf="])
+    def test_abbreviations_resolve_as_in_the_command(self, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\ns = 0.25\nseed = 7\n")
+        path = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+        args = cli._parse(["mc-validate", *path, "--cou", "5", "--seed", "8"])
+        assert (args.command, args.n, args.s, args.count, args.seed) == (
+            "mc-validate", 3, 0.25, 5, 8)
+
+
 class TestReproducibility:
     def test_identical_outputs_for_identical_config(self, tmp_path):
         outs = []
@@ -596,6 +630,29 @@ class TestOptions:
         assert code == 2
         assert "--N" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unrecognized_option_is_reported_by_mixlap(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["kernel-tab", *_ARGV["kernel-tab"], "--bogus", "3", "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: mixlap: unrecognized arguments: --bogus 3\n"
+
+    def test_command_line_is_parsed_once_by_its_command(self, monkeypatch):
+        parser = build_parser()
+        parsed = []
+
+        def spy(p):
+            parse = p.parse_known_args
+
+            def parse_known_args(*args, **kwargs):
+                parsed.append(p.prog)
+                return parse(*args, **kwargs)
+            return parse_known_args
+
+        for p in [parser, *parser.commands.values()]:
+            monkeypatch.setattr(p, "parse_known_args", spy(p))
+        cli._parse(["solve", *_ARGV["solve"]])
+        assert parsed == ["mixlap solve"]
 
     def test_readme_examples_parse(self):
         text = README.read_text()

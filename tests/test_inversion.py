@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,6 +87,16 @@ class TestEngineContracts:
             radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=scale)
         with pytest.raises(ValueError, match=message):
             radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5], 2, envelope_scale=scale)
+
+    @pytest.mark.parametrize("r_max", [0.0, -1.0, math.nan])
+    def test_r_max_must_be_positive(self, r_max):
+        message = "r_max must be positive"
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier(gaussian_symbol(1.0), 0.5, 2, envelope_scale=1.0,
+                                   r_max=r_max)
+        with pytest.raises(ValueError, match=message):
+            radial_inverse_fourier_many(gaussian_symbol(1.0), [0.5], 2, envelope_scale=1.0,
+                                        r_max=r_max)
 
     def test_zero_envelope_scale_keeps_the_floor(self):
         # a heat scale that underflows to 0 still evaluates, with panels of
@@ -324,6 +335,16 @@ class TestHeatAtSmallSAndLargeT:
                      / (2.0 * s * t ** (n / (2.0 * s))))
             assert 0.0 < got <= bound
 
+    @pytest.mark.parametrize("t1, t2", [(1e100, 1e100), (1e100, 0.0), (1e35, 1.0)])
+    def test_cut_that_underflows_is_rejected(self, t1, t2):
+        # the envelope's cut (60 / t1)^{1/(2s)} is 0.0 at s = 0.05
+        with pytest.raises(ValueError, match=re.escape(f"t1 = {t1}, s = 0.05")):
+            kernels.heat_kernel_two_scale(1.0, t1, t2, KernelParams(2, 0.05))
+
+    def test_subnormal_cut_still_evaluates(self):
+        # at t = 1e34 the cut is 6e-323, the last time before it underflows
+        assert kernels.heat_kernel(1.0, 1e34, KernelParams(2, 0.05)) == 0.0
+
 
 def log_floats(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
@@ -536,20 +557,22 @@ def sweep_outcomes(n):
 class TestFusedFirstPass:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bitwise_equal_to_per_block_engine(self, n, monkeypatch):
-        sizes = []  # partial sums Wynn's epsilon sees at every test
+        calls = []  # (partial sums, prefix) Wynn's epsilon sees at every test
         wynn_epsilon = inversion._wynn_epsilon
 
-        def recording(partial_sums):
-            sizes.append(len(partial_sums))
-            return wynn_epsilon(partial_sums)
+        def recording(partial_sums, prefix=None):
+            calls.append((len(partial_sums), prefix))
+            return wynn_epsilon(partial_sums, prefix)
 
         monkeypatch.setattr(inversion, "_wynn_epsilon", recording)
         got = sweep_outcomes(n)
         block = inversion._BLOCK
         # radii that reach a full second block, and partitions of fewer than
-        # 33 zeros that reach their short second block
-        assert 2 * block in sizes
-        assert any(block < size < 2 * block for size in sizes)
+        # 33 zeros that reach their short second block, each extrapolated
+        # together with block 1 in one table
+        assert (2 * block, block) in calls
+        assert any(block < size < 2 * block and prefix == block
+                   for size, prefix in calls)
         monkeypatch.setattr(inversion, "_batch", reference_batch)
         assert got == sweep_outcomes(n)
 
@@ -611,6 +634,41 @@ class TestWynnEpsilon:
             if rng.random() < 0.2:  # differences near the 1e-300 cutoff
                 sums *= 10.0 ** rng.uniform(-310, -280)
             assert inversion._wynn_epsilon(sums) == reference_wynn_epsilon(sums)
+
+    def test_prefix_bitwise_equal_to_its_own_table(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            size = int(rng.integers(1, 41))
+            prefix = int(rng.integers(1, size + 1))
+            k = np.arange(size)
+            terms = np.abs(rng.normal(size=size)) * (-1.0) ** k / (k + 1.0) ** rng.uniform(0, 2)
+            if rng.random() < 0.3:  # repeated sums end the table, often past the prefix
+                terms[rng.integers(size) :] = 0.0
+            sums = rng.normal() + np.cumsum(terms)
+            both = inversion._wynn_epsilon(sums, prefix=prefix)
+            assert both == (inversion._wynn_epsilon(sums), inversion._wynn_epsilon(sums[:prefix]))
+            assert both[1] == reference_wynn_epsilon(sums[:prefix])
+
+    @pytest.mark.parametrize("repeat_from, own_tables", [(10, 0), (20, 1)])
+    def test_prefix_table_built_only_past_a_bad_entry(self, monkeypatch, repeat_from,
+                                                      own_tables):
+        # repeated sums from index repeat_from put column 1's first bad entry
+        # at repeat_from - 1: inside the first 16 sums' column, or past it
+        terms = np.array([(-1.0) ** k / (k + 1.0) for k in range(32)])
+        terms[repeat_from:] = 0.0
+        sums = np.cumsum(terms)
+        calls = []
+        wynn_epsilon = inversion._wynn_epsilon
+
+        def counting(partial_sums, prefix=None):
+            calls.append(len(partial_sums))
+            return wynn_epsilon(partial_sums, prefix)
+
+        monkeypatch.setattr(inversion, "_wynn_epsilon", counting)
+        whole, head = wynn_epsilon(sums, prefix=16)
+        assert calls == [16] * own_tables
+        assert (whole, head) == (reference_wynn_epsilon(sums),
+                                 reference_wynn_epsilon(sums[:16]))
 
     @pytest.mark.parametrize("term, limit", [
         (lambda k: (-1.0) ** k / (k + 1.0), math.log(2.0)),
