@@ -110,15 +110,14 @@ class DecayFit:
     c_upper: float
 
 
-def decay_fit(profile, window, params=None):
+def decay_fit(profile, window, *, params):
     """Fit log(value) vs log(radius) on the window; report empirical constants.
 
     ``c_lower``/``c_upper`` are min/max of value * r^{n+2s} over the window,
     the empirical two-sided decay constants.  Raises on nonpositive values
     in the window: that is a positivity violation, itself a finding.
+    ``params`` gives the n and s of the expected slope -(n + 2s).
     """
-    if params is None:
-        params = profile.params
     r_lo, r_hi = window
     if not r_lo < r_hi:
         raise ValueError("window must satisfy r_lo < r_hi")

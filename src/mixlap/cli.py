@@ -7,10 +7,10 @@ summary; mc-validate's adds its stage timings (``stages``).  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage/config error,
 3 numerical non-convergence.
 
-Defaults may be supplied through a ``key = value`` config file (``#``
-comments allowed) named with ``--config``; explicit command-line flags win
-over file values.  A command line is parsed once, by its subcommand's own
-parser, with the file's lines as flags before its own.
+Arguments may also be read from a file: ``mixlap solve @run.args --N 128``
+reads ``run.args``, one argument per line (``--n=2``), in its place.  Position
+decides precedence: an argument after the file wins over the file's value,
+one before it loses.  Any argument that starts with ``@`` is read as a file.
 """
 
 import argparse
@@ -36,71 +36,23 @@ EXIT_NO_CONVERGENCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises ValueError on a usage error, not SystemExit.
-
-    ``keys`` collects the dest of every option declared on it but ``--help``
-    and ``--config``: the keys a ``--config`` file may set.  A subcommand's
-    ``config_flag`` declares, in the same order, its options that start with
-    ``--c`` (``--config`` and the rivals an abbreviation of it may name): it
-    finds ``--config`` before the full parse, and resolves an abbreviation,
-    or finds it ambiguous, as the subcommand does.
-    """
-
-    config_flag = None
-
-    def __init__(self, *args, **kwargs):
-        self.keys = set()
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.dest not in ("help", "config"):
-            self.keys.add(action.dest)
-        if self.config_flag is not None and args[0].startswith("--c"):
-            self.config_flag.add_argument(args[0])
-        return action
+    """An argument parser that raises ValueError on a usage error, not SystemExit."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _config_tokens(path, command):
-    """The ``key = value`` lines of a config file as ``--key=value`` tokens."""
-    tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in command.keys:
-                raise ValueError(f"unknown config key {key!r}")
-            tokens.append(f"--{dest.replace('_', '-')}={val}")
-    return tokens
-
-
 def _parse(argv):
-    """Parse argv once, with its command's parser; a --config file's lines go first.
+    """Parse argv once, with its command's parser.
 
-    A file value thus gets the type and required-option checks of a flag, and
-    a flag given on the command line wins (the last value parsed is kept).
     The top-level parser runs only for --help, --version and a missing or
-    unknown command.  Every spelling argparse accepts for --config starts
-    with --c, so the --config pre-parse runs only where a token does.
+    unknown command.
     """
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    rest = argv[1:]
-    if any(tok.startswith("--c") for tok in rest):
-        path = command.config_flag.parse_known_args(rest)[0].config
-        if path:
-            rest = _config_tokens(path, command) + rest
-    args, extra = command.parse_known_args(rest)
+    args, extra = command.parse_known_args(argv[1:])
     if extra:  # worded as the top-level parser words it
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
@@ -116,7 +68,7 @@ def _floats(text):
 
 
 def _given(args, *names):
-    """The options among ``names`` set on the command line or in the config file."""
+    """The options among ``names`` given on the command line or in a file."""
     return {name: getattr(args, name) for name in names
             if getattr(args, name) is not None}
 
@@ -155,7 +107,6 @@ def _cmd_kernel_tab(args):
     radii = np.array(args.radii)
     extra = _given(args, "t", "t1", "t2", "a")
     prof = kernels.tabulate_kernel(label, radii, params, quad, **extra)
-    os.makedirs(args.output_dir, exist_ok=True)
     prof.write_csv(os.path.join(args.output_dir, f"{label}.csv"), quad=quad)
     config = {"kernel": label, "n": params.n, "s": params.s,
               "radii": radii.tolist(), **extra, **asdict(quad)}
@@ -166,7 +117,6 @@ def _cmd_kernel_verify(args):
     params = KernelParams(args.n, args.s)
     quad = _quad_from(args)
     outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
     records = []
 
     rng = np.random.default_rng(args.seed)
@@ -234,7 +184,6 @@ def _cmd_solve(args):
     cfg = solver.SolverConfig(
         p=args.p, **_given(args, "tol_residual", "max_iter", "seed", "perturb"))
     outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
     u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u,
                          s=params.s, p=cfg.p)
@@ -299,7 +248,6 @@ def _cmd_analyze(args):
     records.append(analysis.check_report(
         "barrier-supersolution", c2, None, np.isfinite(c2)))
 
-    os.makedirs(outdir, exist_ok=True)
     prof.write_csv(os.path.join(outdir, "radial-profile.csv"))
     write_json(os.path.join(outdir, "analyze.json"), records)
     passed = all(rec["pass"] for rec in records)
@@ -316,7 +264,6 @@ def _cmd_mc_validate(args):
     edges = np.concatenate(([0.05], np.linspace(0.2, 2.0, 10)))
     char_rep, dens_rep, timings = mc.stream_checks(t, params, count, seed, xis, edges,
                                                    quad)
-    os.makedirs(outdir, exist_ok=True)
     write_json(os.path.join(outdir, "mc-char.json"), char_rep)
     write_json(os.path.join(outdir, "mc-density.json"), dens_rep)
     passed = char_rep["pass"] and dens_rep["pass"]
@@ -370,14 +317,13 @@ def build_parser():
     parser.commands = {}
 
     def command(name, run, help, quadrature=True, params=True):
-        parser.commands[name] = p = sub.add_parser(name, help=help)
-        p.config_flag = _Parser(prog=p.prog, add_help=False)
+        parser.commands[name] = p = sub.add_parser(name, help=help,
+                                                   fromfile_prefix_chars="@")
         p.set_defaults(run=run)
         if params:  # analyze reads n and s from the field's header
             p.add_argument("--n", type=int, required=True, help="space dimension")
             p.add_argument("--s", type=float, required=True,
                            help="fractional order in (0, 1)")
-        p.add_argument("--config", help="key = value config file; flags win")
         p.add_argument("--output-dir", default=".", help="artifact directory")
         if quadrature:  # no defaults: unset options keep QuadratureSpec's
             p.add_argument("--rel-tol", type=float,

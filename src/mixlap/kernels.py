@@ -370,17 +370,18 @@ def heat_bound_check(points, params, quad=DEFAULT_QUAD):
 
     Returns a report dict; PASS means every upper ratio is finite and every
     applicable lower ratio is strictly positive, i.e. the sample exhibits
-    uniform constants.
+    uniform constants.  A point with x <= 0 or t <= 0 raises ValueError
+    before any heat value is computed.
     """
+    for x, t in points:
+        if x <= 0 or t <= 0:
+            raise ValueError(f"heat bound point (x, t) = ({x}, {t}) "
+                             "requires x > 0 and t > 0")
     n, s = params.n, params.s
     pw = n + 2.0 * s
     rows = []
-    rejected = []
     upper_ratios, lower_ratios = [], []
     for x, t in points:
-        if x <= 0 or t <= 0:
-            rejected.append({"x": x, "t": t, "reason": "requires x > 0 and t > 0"})
-            continue
         H = heat_kernel(x, t, params, quad)
         ub = min(max(t, t ** s) / x ** pw, min(t ** (-n / (2.0 * s)), t ** (-n / 2.0)))
         row = {"x": x, "t": t, "H": H, "upper_bound": ub, "upper_ratio": H / ub}
@@ -408,7 +409,6 @@ def heat_bound_check(points, params, quad=DEFAULT_QUAD):
         "n": n,
         "s": s,
         "points": rows,
-        "rejected": rejected,
         "upper_ratio_max": max(upper_ratios) if upper_ratios else None,
         "lower_ratio_min": min(lower_ratios) if lower_ratios else None,
         "gaussian_bound_sign": "decaying exponent (statement sign treated as typo)",

@@ -45,7 +45,7 @@ of a solve and is cleared when the solve returns.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -124,11 +124,11 @@ class SolveReport:
     residual_linf: float
     energy: float
     nehari_gap: float
-    stabilizer_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    mixing_history: list = field(default_factory=list)
-    mixing_fallbacks: int = 0
-    converged: bool = False
+    stabilizer_history: list
+    residual_history: list
+    mixing_history: list
+    mixing_fallbacks: int
+    converged: bool
 
     def to_dict(self):
         return {

@@ -243,7 +243,7 @@ class TestDecayFit:
     def test_pure_power_law(self):
         r = np.geomspace(2.0, 50.0, 30)
         prof = RadialProfile(radii=r, values=r ** -3.0, params=P2, label="x")
-        fit = A.decay_fit(prof, (2.0, 50.0))
+        fit = A.decay_fit(prof, (2.0, 50.0), params=P2)
         assert fit.slope == pytest.approx(-3.0, abs=1e-12)
         assert fit.c_lower == pytest.approx(1.0, rel=1e-12)
         assert fit.c_upper == pytest.approx(1.0, rel=1e-12)
@@ -256,25 +256,25 @@ class TestDecayFit:
         vals[7] = -1e-9
         prof = RadialProfile(radii=r, values=vals, params=P2, label="x")
         with pytest.raises(MixlapError):
-            A.decay_fit(prof, (1.0, 10.0))
+            A.decay_fit(prof, (1.0, 10.0), params=P2)
 
     def test_too_few_radii(self):
         r = np.geomspace(2.0, 50.0, 5)
         prof = RadialProfile(radii=r, values=r ** -3.0, params=P2, label="x")
         with pytest.raises(ValueError):
-            A.decay_fit(prof, (2.0, 50.0))
+            A.decay_fit(prof, (2.0, 50.0), params=P2)
 
     def test_bad_window(self):
         r = np.geomspace(2.0, 50.0, 30)
         prof = RadialProfile(radii=r, values=r ** -3.0, params=P2, label="x")
         with pytest.raises(ValueError):
-            A.decay_fit(prof, (10.0, 10.0))
+            A.decay_fit(prof, (10.0, 10.0), params=P2)
 
     def test_tabulated_bessel_kernel_slope(self):
         from mixlap.kernels import tabulate_kernel
 
         prof = tabulate_kernel("bessel", np.geomspace(5.0, 50.0, 30), P2)
-        fit = A.decay_fit(prof, (5.0, 50.0))
+        fit = A.decay_fit(prof, (5.0, 50.0), params=P2)
         assert fit.slope == pytest.approx(-3.0, abs=0.05)
 
 

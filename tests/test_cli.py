@@ -365,7 +365,6 @@ class TestKernelVerify:
         (bounds,) = [rec for rec in records
                      if rec["check"] == "heat-kernel-two-sided-bounds"]
         assert bounds["pass"] is True
-        assert not bounds["rejected"]
         regimes = {regime for row in bounds["points"] for regime in row["lower_regimes"]}
         assert regimes == {"tail", "gaussian"}
         assert bounds["lower_ratio_min"] > 0
@@ -458,88 +457,70 @@ class TestReports:
 
 
 class TestConfigFile:
+    """Arguments read from an ``@FILE``, one a line, in the file's place."""
+
     def test_file_supplies_defaults_flags_win(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# solver settings\n"
-            "n = 2\n"
-            "s = 0.5\n"
-            "p = 3\n"
-            "L = 15\n"
-            "N = 64\n"
-        )
+        args = tmp_path / "run.args"
+        args.write_text("--n=2\n--s=0.5\n--p=3\n--L=15\n--N=64\n")
         out = tmp_path / "out"
-        code = main([
-            "solve", "--config", str(cfg), "--N", "128",
-            "--output-dir", str(out),
-        ])
+        code = main(["solve", f"@{args}", "--N", "128", "--output-dir", str(out)])
         assert code == 0
         manifest = read_json(out / "manifest.json")
-        assert manifest["config"]["N"] == 128  # flag beats file
+        assert manifest["config"]["N"] == 128  # a flag after the file wins
         assert manifest["config"]["L"] == 15.0
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus_key = 1\n")
-        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
-                     "--p", "3"])
-        assert code == 2
-        assert "bogus_key" in capsys.readouterr().err
+    def test_flag_before_file_loses(self, tmp_path):
+        args = tmp_path / "run.args"
+        args.write_text("--seed=7\n")
+        parsed = cli._parse(["mc-validate", *_PARAMS, "--seed", "8", f"@{args}"])
+        assert parsed.seed == 7
 
-    @pytest.mark.parametrize("line", ["config = /nonexistent.cfg", "help = 1"])
-    def test_config_and_help_are_not_keys(self, tmp_path, capsys, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
+    @staticmethod
+    def _refused(tmp_path, capsys, text):
+        """The stderr of a solve whose file holds ``text``; it exits 2 and writes nothing."""
+        args = tmp_path / "bad.args"
+        if text is not None:
+            args.write_text(text)
         out = tmp_path / "o"
-        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
-                     "--p", "3", "--output-dir", str(out)])
+        code = main(["solve", *_PARAMS, "--p", "3", f"@{args}", "--output-dir", str(out)])
         assert code == 2
-        key = line.split()[0]
-        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
 
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just some words\n")
-        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
-                     "--p", "3"])
-        assert code == 2
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, "--bogus=1\n")
+        assert "unrecognized arguments: --bogus=1" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("--config=/nonexistent.cfg", "unrecognized arguments: --config=/nonexistent.cfg"),
+        ("--help=1", "argument -h/--help: ignored explicit argument '1'"),
+    ], ids=["config", "help"])
+    def test_config_and_help_lines_rejected(self, tmp_path, capsys, line, message):
+        assert message in self._refused(tmp_path, capsys, line + "\n")
+
+    def test_malformed_line_rejected(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, "just some words\n")
+        assert "unrecognized arguments: just some words" in err
 
     def test_malformed_value_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("N = abc\n")
-        out = tmp_path / "o"
-        code = main(["solve", "--config", str(cfg), "--n", "2", "--s", "0.5",
-                     "--p", "3", "--output-dir", str(out)])
-        assert code == 2
-        assert "--N" in capsys.readouterr().err
-        assert not out.exists()
+        err = self._refused(tmp_path, capsys, "--N=abc\n")
+        assert "argument --N: invalid int value" in err
 
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        assert "No such file or directory" in self._refused(tmp_path, capsys, None)
 
-    def test_ambiguous_abbreviation_opens_no_file(self, tmp_path, capsys, monkeypatch):
-        # --co could be --config or --count in mc-validate, and a file named 5
-        # exists: the pre-parse finds it ambiguous, as the command does
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "5").write_text("seed = 3\n")
-        opened = []
-        monkeypatch.setattr(cli, "_config_tokens", lambda *a: opened.append(a) or [])
-        out = tmp_path / "o"
-        code = main(["mc-validate", "--n", "2", "--s", "0.5", "--co", "5",
-                     "--output-dir", str(out)])
-        assert code == 2
-        assert ("ambiguous option: --co could match --config, --count"
-                in capsys.readouterr().err)
-        assert opened == []
-        assert not out.exists()
+    @pytest.mark.parametrize("flag", ["--cou", "--count", "--cou="])
+    def test_file_abbreviations_resolve_as_in_the_command(self, tmp_path, flag):
+        args = tmp_path / "run.args"
+        count = [flag + "5"] if flag.endswith("=") else [flag, "5"]
+        args.write_text("\n".join(["--n=3", "--s=0.25", *count, "--se=7"]) + "\n")
+        parsed = cli._parse(["mc-validate", f"@{args}"])
+        assert (parsed.command, parsed.n, parsed.s, parsed.count, parsed.seed) == (
+            "mc-validate", 3, 0.25, 5, 7)
 
-    @pytest.mark.parametrize("flag", ["--conf", "--config", "--conf="])
-    def test_abbreviations_resolve_as_in_the_command(self, tmp_path, flag):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\ns = 0.25\nseed = 7\n")
-        path = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
-        args = cli._parse(["mc-validate", *path, "--cou", "5", "--seed", "8"])
-        assert (args.command, args.n, args.s, args.count, args.seed) == (
-            "mc-validate", 3, 0.25, 5, 8)
+    def test_co_abbreviates_count(self):
+        # --count is the only option of mc-validate that starts with --co
+        assert cli._parse(["mc-validate", *_PARAMS, "--co", "5"]).count == 5
 
 
 class TestReproducibility:

@@ -289,9 +289,12 @@ class TestHeatBounds:
         assert np.isfinite(rep["upper_ratio_max"])
         assert rep["lower_ratio_min"] > 0
 
-    def test_rejects_invalid_points(self):
-        rep = K.heat_bound_check([(0.0, 1.0), (1.0, -2.0), (2.0, 1.5)], P2)
-        assert len(rep["rejected"]) == 2
+    def test_rejects_invalid_points(self, monkeypatch):
+        # raised before any heat value is computed, naming the point
+        monkeypatch.setattr(K, "heat_kernel", lambda *a: pytest.fail("computed"))
+        for point in ((0.0, 1.0), (1.0, -2.0)):
+            with pytest.raises(ValueError, match=re.escape(str(point))):
+                K.heat_bound_check([(2.0, 1.5), point], P2)
 
     def test_upper_bound_small_t_sweep(self):
         # H <= C1 t^s / |x|^{n+2s} as t decreases at fixed x, single constant
