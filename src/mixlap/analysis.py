@@ -63,11 +63,8 @@ def radial_average(u, params):
     shell_counts = shell_counts[mask]
     # report each shell at the mean radius of its points, not the bin
     # center: first-order binning bias cancels for smooth profiles
-    radii = u.grid.spacing * np.bincount(shell, weights=counts * roots)[mask] / shell_counts
-    if radii[0] == 0.0:  # the peak-only shell would break strict monotonicity
-        radii[0] = 1e-12
     return RadialProfile(
-        radii=radii,
+        radii=u.grid.spacing * np.bincount(shell, weights=counts * roots)[mask] / shell_counts,
         values=np.bincount(shell, weights=sums)[mask] / shell_counts,
         params=params,
         label="radial-average",
@@ -103,8 +100,6 @@ class DecayFit:
 
     window: tuple
     slope: float
-    intercept: float
-    r2: float
     expected_slope: float
     c_lower: float
     c_upper: float
@@ -130,18 +125,12 @@ def decay_fit(profile, window, *, params):
         raise MixlapError(
             "profile is nonpositive inside the fit window (positivity violation)"
         )
-    lr, lv = np.log(r), np.log(v)
-    slope, intercept = np.polyfit(lr, lv, 1)
-    resid = lv - (slope * lr + intercept)
-    ss_tot = np.sum((lv - lv.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
+    slope = np.polyfit(np.log(r), np.log(v), 1)[0]
     power = params.n + 2.0 * params.s
     compensated = v * r ** power
     return DecayFit(
         window=(float(r_lo), float(r_hi)),
         slope=float(slope),
-        intercept=float(intercept),
-        r2=float(r2),
         expected_slope=-power,
         c_lower=float(compensated.min()),
         c_upper=float(compensated.max()),

@@ -8,7 +8,8 @@ summary; mc-validate's adds its stage timings (``stages``).  Exit codes:
 3 numerical non-convergence.
 
 Arguments may also be read from a file: ``mixlap solve @run.args --N 128``
-reads ``run.args``, one argument per line (``--n=2``), in its place.  Position
+reads ``run.args``, one argument per line (``--n=2``; blank lines are
+skipped), in its place.  Position
 decides precedence: an argument after the file wins over the file's value,
 one before it loses.  Any argument that starts with ``@`` is read as a file.
 """
@@ -36,10 +37,14 @@ EXIT_NO_CONVERGENCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises ValueError on a usage error, not SystemExit."""
+    """An argument parser that raises ValueError on a usage error, not SystemExit,
+    and skips the blank lines of an argument file."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+    def convert_arg_line_to_args(self, arg_line):
+        return [arg_line] if arg_line.strip() else []
 
 
 def _parse(argv):
@@ -187,7 +192,7 @@ def _cmd_solve(args):
     u, report = solver.solve_ground_state(grid, params, cfg)
     spectral.write_field(os.path.join(outdir, "ground_state.bin"), u,
                          s=params.s, p=cfg.p)
-    write_json(os.path.join(outdir, "solve-report.json"), report.to_dict())
+    write_json(os.path.join(outdir, "solve-report.json"), asdict(report))
     config = {"n": params.n, "s": params.s, "p": cfg.p, "L": grid.L, "N": grid.N,
               "tol_residual": cfg.tol_residual, "max_iter": cfg.max_iter,
               "seed": cfg.seed, "perturb": cfg.perturb}

@@ -46,12 +46,12 @@ sums and shell counts, and dropped, so its memory is that of the sub-batches
 in flight (about 13 MB at n = 3 with two workers, against 24 MB of points at
 10^6 samples).  Both paths feed the same block statistics and report
 builders.  ``stream_checks`` is the pass ``mc-validate`` runs; the stored
-batch is its serial reference, with the single-component modes besides.
+batch is its serial reference.
 
-Shift: each frequency's cosines are summed less the closed-form target of the
-batch's mode, the value the report compares against, so the sum of squares
-does not cancel when the spread is small against the mean, and no block has
-to be reduced before the others.
+Shift: each frequency's cosines are summed less the closed-form target, the
+value the report compares against, so the sum of squares does not cancel when
+the spread is small against the mean, and no block has to be reduced before
+the others.
 
 Threads: only ``stream_checks`` uses them.  Its sub-batches are independent
 units of work, mapped over ``worker_count()`` threads (at most two; numpy
@@ -108,10 +108,8 @@ class SampleBatch:
 
     t: float
     params: KernelParams
-    count: int
     seed: int
     points: np.ndarray  # (count, n)
-    mode: str
 
 
 def _half_angle_tan(phase, scratch):
@@ -184,6 +182,7 @@ def _sample_chunk(t, params, out, rng, mode):
 
     Given A, X = G + sqrt(2 A) Z is N(0, (sigma^2 + 2 A) I), so a mixed row is
     one Gaussian row scaled by sqrt(sigma^2 + 2 A): A is drawn first, then Z.
+    ``mode`` "gaussian" draws G alone and "stable" S alone; "mixed" draws X.
     """
     count = len(out)
     s = params.s
@@ -203,34 +202,29 @@ def _sample_chunk(t, params, out, rng, mode):
     out *= np.sqrt(a, out=a)[:, None]
 
 
-def _check_sampling(t, count, mode):
+def _check_sampling(t, count):
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"t must be finite and positive, got {t}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if mode not in ("mixed", "gaussian", "stable"):
-        raise ValueError(f"unknown mode {mode!r}")
 
 
-def sample_mixed(t, params, count, seed, mode="mixed"):
+def sample_mixed(t, params, count, seed):
     """Sample ``count`` draws of X(t); deterministic in (seed, parameters).
 
-    ``mode`` disables one component for convention gating: "gaussian" keeps
-    only the Brownian part, "stable" only the 2s-stable part.  Sampling is
-    split into fixed-size sub-batches whose generators are spawned from the
-    master SeedSequence in order, the sub-batches of ``stream_checks``; each
-    is drawn, on the calling thread, straight into its rows of the one
-    ``(count, n)`` points array.
+    Sampling is split into fixed-size sub-batches whose generators are
+    spawned from the master SeedSequence in order, the sub-batches of
+    ``stream_checks``; each is drawn, on the calling thread, straight into its
+    rows of the one ``(count, n)`` points array.
     """
-    _check_sampling(t, count, mode)
+    _check_sampling(t, count)
     points = np.empty((count, params.n))
     starts = range(0, count, _SUB_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(starts))
     for start, child in zip(starts, children):
         _sample_chunk(t, params, points[start:start + _SUB_BATCH],
-                      np.random.default_rng(child), mode)
-    return SampleBatch(t=t, params=params, count=count, seed=seed, points=points,
-                       mode=mode)
+                      np.random.default_rng(child), "mixed")
+    return SampleBatch(t=t, params=params, seed=seed, points=points)
 
 
 def _blocks(points):
@@ -315,18 +309,14 @@ def _shell_probabilities(edges, t, params, quad):
 # -- reports
 
 
-def _char_target(t, params, mode, xis):
-    """The closed-form E cos(2 pi xi . X) of the mode at each frequency."""
+def _char_target(t, params, xis):
+    """The closed-form E cos(2 pi xi . X) at each frequency."""
     r = np.linalg.norm(xis, axis=1)
-    if mode == "gaussian":
-        return np.exp(-t * r ** 2)
-    if mode == "stable":
-        return np.exp(-t * r ** (2.0 * params.s))
     return np.exp(-t * operator_symbol(r ** 2, params.s))
 
 
-def _char_report(t, params, mode, xis, vals, ses):
-    target = _char_target(t, params, mode, xis)
+def _char_report(t, params, xis, vals, ses):
+    target = _char_target(t, params, xis)
     rows = [
         {
             "xi": list(map(float, xi)),
@@ -339,7 +329,6 @@ def _char_report(t, params, mode, xis, vals, ses):
     ]
     return {
         "check": "characteristic-function",
-        "mode": mode,
         "n_sigma": _N_SIGMA,
         "frequencies": rows,
         "pass": bool(all(row["sigmas"] <= _N_SIGMA for row in rows)),
@@ -392,16 +381,16 @@ def empirical_char_function(batch, xis):
     Returns (values, standard_errors); by symmetry of the law the imaginary
     part is pure noise and the real part carries the symbol.  The cosines are
     formed one block of rows at a time and summed, with their squares, after
-    subtracting the closed-form target of the batch's mode, so the sum of
-    squares does not cancel when the spread is small against the mean.  The
-    blocks' sums are added in block order.  The ``ddof=1`` standard error
-    needs ``count >= 2``.
+    subtracting the closed-form target, so the sum of squares does not cancel
+    when the spread is small against the mean.  The blocks' sums are added in
+    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
     """
-    _check_char_count(batch.count)
+    count = len(batch.points)
+    _check_char_count(count)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    shift = _char_target(batch.t, batch.params, batch.mode, xis)
+    shift = _char_target(batch.t, batch.params, xis)
     parts = [_cosine_sums(block, xis, shift) for block in _blocks(batch.points)]
-    return _char_estimate(shift, parts, batch.count)
+    return _char_estimate(shift, parts, count)
 
 
 def validate_char_function(batch, xis):
@@ -412,7 +401,7 @@ def validate_char_function(batch, xis):
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     vals, ses = empirical_char_function(batch, xis)
-    return _char_report(batch.t, batch.params, batch.mode, xis, vals, ses)
+    return _char_report(batch.t, batch.params, xis, vals, ses)
 
 
 def compare_density(batch, radii, quad=DEFAULT_QUAD):
@@ -429,7 +418,7 @@ def compare_density(batch, radii, quad=DEFAULT_QUAD):
                     axis=0)
     probs = _shell_probabilities(edges, batch.t, batch.params, quad)
     return _density_report(edges, counts, probs, batch.t, batch.params.n,
-                           batch.count, batch.seed)
+                           len(batch.points), batch.seed)
 
 
 # -- both checks in one streamed pass
@@ -447,11 +436,11 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD):
     that thread.  ``timings`` holds the seconds of that quadrature, the
     seconds of the whole pass and the samples drawn per second of it.
     """
-    _check_sampling(t, count, "mixed")
+    _check_sampling(t, count)
     _check_char_count(count)
     edges = _shell_edges(radii)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    shift = _char_target(t, params, "mixed", xis)
+    shift = _char_target(t, params, xis)
     starts = range(0, count, _SUB_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(starts))
 
@@ -475,7 +464,7 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD):
             counts = counts + more_counts
     pass_s = time.perf_counter() - t0
     vals, ses = _char_estimate(shift, parts, count)
-    char = _char_report(t, params, "mixed", xis, vals, ses)
+    char = _char_report(t, params, xis, vals, ses)
     density = _density_report(edges, counts, probs, t, params.n, count, seed)
     timings = {"quadrature_s": quad_s, "pass_s": pass_s,
                "samples_per_s": count / pass_s}

@@ -130,22 +130,6 @@ class SolveReport:
     mixing_fallbacks: int
     converged: bool
 
-    def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "residual_linf": self.residual_linf,
-            "energy": self.energy,
-            "nehari_gap": self.nehari_gap,
-            "stabilizer_final": self.stabilizer_history[-1]
-            if self.stabilizer_history
-            else None,
-            "converged": self.converged,
-            "stabilizer_history": list(self.stabilizer_history),
-            "residual_history": list(self.residual_history),
-            "mixing_history": list(self.mixing_history),
-            "mixing_fallbacks": self.mixing_fallbacks,
-        }
-
 
 def _fiber_terms(u, params, cfg):
     """||u||_s^2 and the integral of (u+)^{p+1}: the two terms of F(t u)."""

@@ -274,9 +274,9 @@ def _parseval_scale(grid):
 def norms(f, params):
     """Discrete norms of a field.
 
-    Returns a dict with keys l2, h1_seminorm, hs_seminorm, linf and
-    sobolev_s.  The L^2 quantities use the spectral (Parseval-exact)
-    quadrature; sobolev_s^2 = l2^2 + h1^2 + hs^2.
+    Returns a dict with keys l2, h1_seminorm, hs_seminorm and sobolev_s.
+    The L^2 quantities use the spectral (Parseval-exact) quadrature;
+    sobolev_s^2 = l2^2 + h1^2 + hs^2.
     """
     grid = f.grid
     w_sq = grid_symbol(grid, params.s).w_sq
@@ -297,7 +297,6 @@ def norms(f, params):
         "l2": float(np.sqrt(l2_sq)),
         "h1_seminorm": float(np.sqrt(h1_sq)),
         "hs_seminorm": float(np.sqrt(hs_sq)),
-        "linf": float(np.abs(f.data).max()),
         "sobolev_s": float(np.sqrt(l2_sq + h1_sq + hs_sq)),
     }
 

@@ -7,7 +7,7 @@ import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from mixlap.cli import build_parser, main
 from mixlap.errors import AccuracyError
 from mixlap.fileio import write_json
 from mixlap.params import QuadratureSpec
-from mixlap.solver import SolverConfig
+from mixlap.solver import SolveReport, SolverConfig
 
 import gridcoords
 
@@ -237,7 +237,6 @@ class TestSolveAnalyze:
         report = read_json(out / "solve-report.json")
         history = report["stabilizer_history"]
         assert len(history) == report["iterations"]
-        assert history[-1] == report["stabilizer_final"]
         residuals = report["residual_history"]
         assert len(residuals) == report["iterations"]
         assert len(report["mixing_history"]) == report["iterations"]
@@ -518,23 +517,66 @@ class TestConfigFile:
         assert (parsed.command, parsed.n, parsed.s, parsed.count, parsed.seed) == (
             "mc-validate", 3, 0.25, 5, 7)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # a blank line between arguments, one of spaces only and a trailing one
+        args = tmp_path / "run.args"
+        args.write_text("--n=2\n\n--s=0.5\n   \n--radii=20,50\n\n")
+        assert main(["asymptotics", f"@{args}", "--output-dir", str(tmp_path / "o")]) == 0
+        assert read_json(tmp_path / "o" / "manifest.json")["config"]["radii"] == [20.0, 50.0]
+
     def test_co_abbreviates_count(self):
         # --count is the only option of mc-validate that starts with --co
         assert cli._parse(["mc-validate", *_PARAMS, "--co", "5"]).count == 5
 
 
+def _artifacts(out):
+    """The bytes of every file under ``out`` but its manifests, by relative path."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
+
+
 class TestReproducibility:
+    """Every artifact but the manifest is a function of the command line."""
+
     def test_identical_outputs_for_identical_config(self, tmp_path):
-        outs = []
+        runs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
             code = main([
                 "solve", "--n", "2", "--s", "0.5", "--p", "3",
-                "--L", "15", "--N", "64", "--output-dir", str(out),
+                "--L", "15", "--N", "64", "--output-dir", str(out / "solve"),
             ])
             assert code == 0
-            outs.append((out / "ground_state.bin").read_bytes())
-        assert outs[0] == outs[1]
+            main(["analyze", "--field", str(out / "solve" / "ground_state.bin"),
+                  "--output-dir", str(out / "analyze")])
+            runs.append(_artifacts(out))
+        assert "analyze/radial-profile.json" in runs[0]
+        assert runs[0] == runs[1]
+
+    def test_kernel_tab_outputs_identical(self, tmp_path):
+        argv = ["kernel-tab", "--n", "2", "--s", "0.5", "--kernel", "heat", "--t", "1",
+                "--radii", "0.5,1,2"]
+        runs = []
+        for tag in ("a", "b"):
+            assert main(argv + ["--output-dir", str(tmp_path / tag)]) == 0
+            runs.append(_artifacts(tmp_path / tag))
+        assert sorted(runs[0]) == ["heat.csv", "heat.json"]
+        assert runs[0] == runs[1]
+
+    def test_sidecar_holds_parameters_and_quadrature_only(self, tmp_path):
+        argv = ["kernel-tab", *_PARAMS, "--kernel", "bessel", "--radii", "1",
+                "--max-zeros", "300"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "bessel.json") == {
+            "label": "bessel", "n": 2, "s": 0.5,
+            "quad": asdict(QuadratureSpec(max_zeros=300))}
+
+    def test_solve_report_keys_are_its_fields(self, tmp_path):
+        argv = ["solve", *_PARAMS, "--p", "3", "--L", "10", "--N", "32", "--max-iter", "2"]
+        main(argv + ["--output-dir", str(tmp_path)])
+        assert list(read_json(tmp_path / "solve-report.json")) == [
+            field.name for field in fields(SolveReport)]
 
 
 # the minimal valid command line of each subcommand; nothing runs in these tests

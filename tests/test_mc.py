@@ -35,7 +35,6 @@ class TestSampler:
     def test_shape_and_metadata(self, batch_200k):
         assert batch_200k.points.shape == (200_000, 2)
         assert batch_200k.seed == 11
-        assert batch_200k.mode == "mixed"
 
     def test_count_independent_of_chunking(self):
         # an off-multiple count exercises the final partial sub-batch
@@ -46,8 +45,6 @@ class TestSampler:
     def test_validation(self):
         with pytest.raises(ValueError):
             mc.sample_mixed(0.0, P2, 100, seed=0)
-        with pytest.raises(ValueError):
-            mc.sample_mixed(1.0, P2, 100, seed=0, mode="weird")
 
     def test_symmetry(self, batch_200k):
         # heavy tails make the sample mean noisy; the median is robust
@@ -158,21 +155,21 @@ class TestCharFunction:
         assert rep["pass"]
 
     def test_gaussian_mode(self):
-        batch = mc.sample_mixed(1.0, P2, 200_000, seed=21, mode="gaussian")
+        points = _component_points(1.0, P2, 200_000, 21, "gaussian")
         xis = np.array([[0.3, 0.1], [-0.5, 0.7], [1.0, 0.0]])
-        rep = mc.validate_char_function(batch, xis)
-        assert rep["pass"]
-        # and the mixed symbol would NOT fit a gaussian-only cloud
-        vals, ses = mc.empirical_char_function(batch, xis)
+        vals, ses = _full_array_char_function(points, xis)
         r = np.linalg.norm(xis, axis=1)
+        assert np.all(np.abs(vals - np.exp(-r ** 2)) <= 3 * ses)
+        # and the mixed symbol would NOT fit a gaussian-only cloud
         mixed = np.exp(-(r ** 2 + r))
         assert np.any(np.abs(vals - mixed) > 5 * ses)
 
     def test_stable_mode(self):
-        batch = mc.sample_mixed(1.0, P2, 200_000, seed=22, mode="stable")
+        points = _component_points(1.0, P2, 200_000, 22, "stable")
         xis = np.array([[0.3, 0.1], [-0.5, 0.7], [0.2, -0.9]])
-        rep = mc.validate_char_function(batch, xis)
-        assert rep["pass"]
+        vals, ses = _full_array_char_function(points, xis)
+        r = np.linalg.norm(xis, axis=1)
+        assert np.all(np.abs(vals - np.exp(-r ** (2 * P2.s))) <= 3 * ses)
 
     def test_tail_exponent(self, batch_200k):
         # P(|X| > R) ~ R^{-2s}
@@ -216,6 +213,19 @@ class TestDensityComparison:
 
 def _sin(phase):
     return mc._sin(phase, np.empty_like(phase))
+
+
+def _component_points(t, params, count, seed, mode):
+    """Draws of one ``mc._sample_chunk`` mode over the stored batch's sub-batches,
+    each from its spawned generator: the stored batch's points when ``mode`` is
+    "mixed", and the Brownian or the 2s-stable part alone otherwise."""
+    points = np.empty((count, params.n))
+    starts = range(0, count, mc._SUB_BATCH)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    for start, child in zip(starts, children):
+        mc._sample_chunk(t, params, points[start:start + mc._SUB_BATCH],
+                         np.random.default_rng(child), mode)
+    return points
 
 
 def _concatenating_sampler(t, params, count, seed, mode):
@@ -305,13 +315,13 @@ class TestStreaming:
     @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
     @pytest.mark.parametrize("count", [1, 1000, mc._SUB_BATCH + 123])
     def test_points_bitwise_equal_to_concatenating_sampler(self, params, mode, count):
-        got = mc.sample_mixed(0.7, params, count, seed=31, mode=mode).points
-        want = _concatenating_sampler(0.7, params, count, 31, mode)
-        assert got.tobytes() == want.tobytes()
+        want = _concatenating_sampler(0.7, params, count, 31, mode).tobytes()
+        assert _component_points(0.7, params, count, 31, mode).tobytes() == want
+        if mode == "mixed":
+            assert mc.sample_mixed(0.7, params, count, seed=31).points.tobytes() == want
 
-    @pytest.mark.parametrize("mode", ["mixed", "gaussian"])
-    def test_char_function_matches_full_array(self, mode):
-        batch = mc.sample_mixed(1.0, P3, mc._SUB_BATCH + 123, seed=17, mode=mode)
+    def test_char_function_matches_full_array(self):
+        batch = mc.sample_mixed(1.0, P3, mc._SUB_BATCH + 123, seed=17)
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
         xis[0] *= 1e-3  # cosines near 1: the spread is tiny against the mean
         vals, ses = mc.empirical_char_function(batch, xis)
@@ -364,16 +374,15 @@ class TestWorkers:
     def test_worker_count_is_one_or_two(self):
         assert mc.worker_count() in (1, 2)
 
-    @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
-    def test_stored_batch_uses_no_threads(self, monkeypatch, mode):
+    def test_stored_batch_uses_no_threads(self, monkeypatch):
         def no_threads(*args):
             raise AssertionError("the stored batch asked for threads")
 
         monkeypatch.setattr(mc, "worker_count", no_threads)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", no_threads)
-        batch = mc.sample_mixed(0.7, P3, MULTI_BLOCK_COUNT, 31, mode)
+        batch = mc.sample_mixed(0.7, P3, MULTI_BLOCK_COUNT, 31)
         assert batch.points.tobytes() == _concatenating_sampler(
-            0.7, P3, MULTI_BLOCK_COUNT, 31, mode).tobytes()
+            0.7, P3, MULTI_BLOCK_COUNT, 31, "mixed").tobytes()
         mc.validate_char_function(batch, [[0.3, 0.1, -0.2]])
         mc.compare_density(batch, DENSITY_EDGES)
 
