@@ -81,7 +81,11 @@ def symmetry_deviation(u, r_max):
     |x - c| <= r_max, a guard radius: on a periodic box the images of the
     solution break symmetry near the boundary, so a whole-box audit
     (r_max = inf) measures the images, and ``analyze`` audits inside L/3.
+    A field that is zero everywhere has no relative deviation: ``ValueError``.
     """
+    peak = np.abs(u.data).max()
+    if peak == 0:
+        raise ValueError("field is zero everywhere: no deviation relative to its peak")
     keys = _orbit_keys(u).ravel()
     # an orbit lies wholly inside the guard radius or wholly outside it
     inside = u.grid.spacing * np.sqrt(keys) <= r_max
@@ -91,7 +95,7 @@ def symmetry_deviation(u, r_max):
     sums = np.bincount(keys, weights=vals)
     counts = np.bincount(keys)
     dev = np.abs(vals - sums[keys] / counts[keys])
-    return float(dev.max() / np.abs(u.data).max())
+    return float(dev.max() / peak)
 
 
 @dataclass

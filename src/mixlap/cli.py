@@ -222,9 +222,15 @@ def _cmd_analyze(args):
     # periodization images break symmetry near the box boundary; audit
     # inside a guard radius where the field dominates its images
     sym_guard = grid.L / 3.0
-    dev = analysis.symmetry_deviation(u, r_max=sym_guard)
-    records.append(analysis.check_report(
-        "radial-symmetry", dev, 1e-6, dev < 1e-6, window=(0.0, sym_guard)))
+    try:
+        dev = analysis.symmetry_deviation(u, r_max=sym_guard)
+    except ValueError as exc:
+        records.append(analysis.check_report(
+            "radial-symmetry", None, 1e-6, False, window=(0.0, sym_guard),
+            detail=str(exc)))
+    else:
+        records.append(analysis.check_report(
+            "radial-symmetry", dev, 1e-6, dev < 1e-6, window=(0.0, sym_guard)))
     guard = grid.L / 2.5
 
     prof = analysis.radial_average(u, params=params)

@@ -20,7 +20,11 @@ from which all sampler constants follow:
   at theta = 2 pi xi.
 * Given A, X = G + sqrt(2 A) Z is exactly N(0, (sigma^2 + 2 A) I), so the
   sampler draws A and then one standard normal row per sample, scaled by
-  sqrt(sigma^2 + 2 A).
+  sqrt(sigma^2 + 2 A).  That is the one draw (``_sample_chunk``).
+
+Plan: both paths split ``count`` samples into the same sub-batches of
+``_SUB_BATCH`` rows, each drawn from a generator spawned from ``seed`` in
+order (``_sub_batches``), so they draw the same points.
 
 Trig: every sine and cosine here comes from t = tan(phi / 2), as
 sin phi = 2 t / (1 + t^2) and cos phi = 1 - 2 t^2 / (1 + t^2) (``_sin``,
@@ -177,27 +181,20 @@ def _one_sided_stable(s, size, rng, scratch):
     return a
 
 
-def _sample_chunk(t, params, out, rng, mode):
+def _sample_chunk(t, params, out, rng):
     """Fill the rows of ``out`` with draws of X(t) from ``rng``.
 
-    Given A, X = G + sqrt(2 A) Z is N(0, (sigma^2 + 2 A) I), so a mixed row is
-    one Gaussian row scaled by sqrt(sigma^2 + 2 A): A is drawn first, then Z.
-    ``mode`` "gaussian" draws G alone and "stable" S alone; "mixed" draws X.
+    Given A, X = G + sqrt(2 A) Z is N(0, (sigma^2 + 2 A) I), so a row is one
+    Gaussian row scaled by sqrt(sigma^2 + 2 A): A is drawn first, then Z.
     """
     count = len(out)
     s = params.s
-    sigma2 = t / (2.0 * np.pi ** 2)
-    if mode == "gaussian":
-        rng.standard_normal(out=out)
-        out *= np.sqrt(sigma2)
-        return
     c = t * (2.0 * np.pi) ** (-2.0 * s)
     # the rows are unused until the Gaussian draw: they lend Kanter its scratch
     a = _one_sided_stable(s, count, rng, out.reshape(-1)[:count])
     a *= c ** (1.0 / s)
     a *= 2.0
-    if mode == "mixed":
-        a += sigma2
+    a += t / (2.0 * np.pi ** 2)
     rng.standard_normal(out=out)
     out *= np.sqrt(a, out=a)[:, None]
 
@@ -209,21 +206,24 @@ def _check_sampling(t, count):
         raise ValueError(f"count must be at least 1, got {count}")
 
 
+def _sub_batches(count, seed):
+    """The plan: each sub-batch's first row and its generator's seed."""
+    starts = range(0, count, _SUB_BATCH)
+    return zip(starts, np.random.SeedSequence(seed).spawn(len(starts)))
+
+
 def sample_mixed(t, params, count, seed):
     """Sample ``count`` draws of X(t); deterministic in (seed, parameters).
 
-    Sampling is split into fixed-size sub-batches whose generators are
-    spawned from the master SeedSequence in order, the sub-batches of
-    ``stream_checks``; each is drawn, on the calling thread, straight into its
-    rows of the one ``(count, n)`` points array.
+    Each sub-batch of the plan (``_sub_batches``), those of ``stream_checks``,
+    is drawn on the calling thread straight into its rows of the one
+    ``(count, n)`` points array.
     """
     _check_sampling(t, count)
     points = np.empty((count, params.n))
-    starts = range(0, count, _SUB_BATCH)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
-    for start, child in zip(starts, children):
+    for start, child in _sub_batches(count, seed):
         _sample_chunk(t, params, points[start:start + _SUB_BATCH],
-                      np.random.default_rng(child), "mixed")
+                      np.random.default_rng(child))
     return SampleBatch(t=t, params=params, seed=seed, points=points)
 
 
@@ -261,17 +261,6 @@ def _radii(block):
 
 def _shell_counts(block, edges):
     return np.histogram(_radii(block), bins=edges)[0]
-
-
-def _char_estimate(shift, parts, count):
-    """Mean and standard error from the blocks' (sum, sum of squares), added in
-    block order."""
-    total = squares = 0.0
-    for block_total, block_squares in parts:
-        total += block_total
-        squares += block_squares
-    var = (squares - total * total / count) / (count - 1)
-    return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
 
 
 def _check_char_count(count):
@@ -315,15 +304,25 @@ def _char_target(t, params, xis):
     return np.exp(-t * operator_symbol(r ** 2, params.s))
 
 
-def _char_report(t, params, xis, vals, ses):
-    target = _char_target(t, params, xis)
+def _char_report(xis, target, parts, count):
+    """The report of the blocks' (sum, sum of squares) of cosines less
+    ``target``, the closed form at ``xis``: the sums are added in block order
+    into each frequency's mean and ``ddof=1`` standard error."""
+    total = squares = 0.0
+    for block_total, block_squares in parts:
+        total += block_total
+        squares += block_squares
+    var = (squares - total * total / count) / (count - 1)
+    vals = target + total / count
+    ses = np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
     rows = [
         {
             "xi": list(map(float, xi)),
             "empirical": float(v),
             "expected": float(tg),
             "standard_error": float(se),
-            "sigmas": float(abs(v - tg) / se) if se > 0 else np.inf,
+            # no spread: 0 for an exact estimate, else None, a failure (JSON has no inf)
+            "sigmas": float(abs(v - tg) / se) if se > 0 else (0.0 if v == tg else None),
         }
         for xi, v, tg, se in zip(xis, vals, target, ses)
     ]
@@ -331,7 +330,8 @@ def _char_report(t, params, xis, vals, ses):
         "check": "characteristic-function",
         "n_sigma": _N_SIGMA,
         "frequencies": rows,
-        "pass": bool(all(row["sigmas"] <= _N_SIGMA for row in rows)),
+        "pass": all(row["sigmas"] is not None and row["sigmas"] <= _N_SIGMA
+                    for row in rows),
     }
 
 
@@ -375,33 +375,20 @@ def _density_report(edges, counts, probs, t, n, count, seed):
 # -- the checks of a stored batch
 
 
-def empirical_char_function(batch, xis):
-    """Empirical E exp(2 pi i xi . X) with per-frequency standard errors.
+def validate_char_function(batch, xis):
+    """Check the defining Fourier identity at the given frequencies.
 
-    Returns (values, standard_errors); by symmetry of the law the imaginary
-    part is pure noise and the real part carries the symbol.  The cosines are
-    formed one block of rows at a time and summed, with their squares, after
-    subtracting the closed-form target, so the sum of squares does not cancel
-    when the spread is small against the mean.  The blocks' sums are added in
-    block order.  The ``ddof=1`` standard error needs ``count >= 2``.
+    E exp(2 pi i xi . X) is estimated by the mean cosine, block by block (the
+    law is symmetric), with a ``ddof=1`` standard error: ``count >= 2``.
+    PASS iff every frequency's estimate lies within 3 standard errors of the
+    closed form.
     """
     count = len(batch.points)
     _check_char_count(count)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     shift = _char_target(batch.t, batch.params, xis)
     parts = [_cosine_sums(block, xis, shift) for block in _blocks(batch.points)]
-    return _char_estimate(shift, parts, count)
-
-
-def validate_char_function(batch, xis):
-    """Check the defining Fourier identity at the given frequencies.
-
-    PASS iff every frequency's estimate lies within 3 standard errors of the
-    closed form.
-    """
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    vals, ses = empirical_char_function(batch, xis)
-    return _char_report(batch.t, batch.params, xis, vals, ses)
+    return _char_report(xis, shift, parts, count)
 
 
 def compare_density(batch, radii, quad=DEFAULT_QUAD):
@@ -441,20 +428,19 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD):
     edges = _shell_edges(radii)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     shift = _char_target(t, params, xis)
-    starts = range(0, count, _SUB_BATCH)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
+    plan = _sub_batches(count, seed)
 
     def draw_and_reduce(job):
         start, child = job
         rows = np.empty((min(_SUB_BATCH, count - start), params.n))
-        _sample_chunk(t, params, rows, np.random.default_rng(child), "mixed")
+        _sample_chunk(t, params, rows, np.random.default_rng(child))
         blocks = _blocks(rows)
         return ([_cosine_sums(block, xis, shift) for block in blocks],
                 sum(_shell_counts(block, edges) for block in blocks))
 
     t0 = time.perf_counter()
     with ThreadPoolExecutor(worker_count()) as pool:
-        results = pool.map(draw_and_reduce, zip(starts, children))
+        results = pool.map(draw_and_reduce, plan)
         probs = _shell_probabilities(edges, t, params, quad)
         quad_s = time.perf_counter() - t0
         parts = []
@@ -463,8 +449,7 @@ def stream_checks(t, params, count, seed, xis, radii, quad=DEFAULT_QUAD):
             parts += more_parts
             counts = counts + more_counts
     pass_s = time.perf_counter() - t0
-    vals, ses = _char_estimate(shift, parts, count)
-    char = _char_report(t, params, xis, vals, ses)
+    char = _char_report(xis, shift, parts, count)
     density = _density_report(edges, counts, probs, t, params.n, count, seed)
     timings = {"quadrature_s": quad_s, "pass_s": pass_s,
                "samples_per_s": count / pass_s}

@@ -150,7 +150,7 @@ def gradient_plus(u, params, cfg):
     Vanishes exactly at discrete weak solutions of the positive-part
     equation, so its max norm is the solver's residual.
     """
-    lin = apply_operator(u, params, include_identity=True)
+    lin = apply_operator(u, params)
     return RealField(u.grid, lin.data - np.maximum(u.data, 0.0) ** cfg.p)
 
 
@@ -180,7 +180,7 @@ def petviashvili_step(u, params, cfg, up_p=None, num=None, den=None):
     grid = u.grid
     dv = grid.cell_volume
     if up_p is None:
-        num = dv * grid.dot(u.data, apply_operator(u, params, include_identity=True).data)
+        num = dv * grid.dot(u.data, apply_operator(u, params).data)
         up_p = positive_part_power(u, cfg.p)
     if den is None:
         den = dv * grid.dot(u.data, up_p.data)

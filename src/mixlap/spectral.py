@@ -230,12 +230,12 @@ def _multiply(f, m, dct):
     return RealField(f.grid, fft.irfftn(c, s=f.grid.shape))
 
 
-def apply_operator(f, params, include_identity=False):
-    """Apply -Laplacian + (-Laplacian)^s (optionally + identity) spectrally."""
+def apply_operator(f, params):
+    """Apply identity - Laplacian + (-Laplacian)^s spectrally: the inverse of
+    ``apply_resolvent``."""
     sym = grid_symbol(f.grid, params.s)
     m = operator_symbol(sym.w_sq, params.s)
-    if include_identity:
-        m += 1.0
+    m += 1.0
     return _multiply(f, m, sym.dct)
 
 

@@ -238,6 +238,12 @@ class TestSymmetryDeviation:
         with pytest.raises(ValueError):
             A.symmetry_deviation(u, r_max=-1.0)
 
+    def test_zero_field_rejected(self):
+        # 0 / 0 relative to the peak: an error, not a NaN and a RuntimeWarning
+        u = S.RealField(GRID, np.zeros(GRID.shape))
+        with pytest.raises(ValueError, match="field is zero everywhere"):
+            A.symmetry_deviation(u, r_max=np.inf)
+
 
 class TestDecayFit:
     def test_pure_power_law(self):

@@ -26,9 +26,14 @@ import gridcoords
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def read_json(path):
+    """The file's JSON, refusing NaN and Infinity: every report is strict JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse)
 
 
 class TestKernelTab:
@@ -205,6 +210,20 @@ class TestSolveAnalyze:
         assert {"radial-symmetry", "barrier-subsolution",
                 "barrier-supersolution"} <= by_check.keys()
         assert read_json(out2 / "manifest.json")["pass"] is False
+
+    def test_zero_field_fails_its_symmetry_record(self, tmp_path):
+        # the audit's deviation relative to a zero peak is 0 / 0
+        grid = spectral.GridSpec(2, 15.0, 64)
+        path = tmp_path / "u.bin"
+        spectral.write_field(path, spectral.RealField(grid, np.zeros(grid.shape)),
+                             s=0.5, p=3.0)
+        out = tmp_path / "an"
+        assert main(["analyze", "--field", str(path), "--output-dir", str(out)]) == 1
+        by_check = {rec["check"]: rec for rec in read_json(out / "analyze.json")}
+        symmetry = by_check["radial-symmetry"]
+        assert symmetry["pass"] is False and symmetry["statistic"] is None
+        assert symmetry["detail"] == "field is zero everywhere: no deviation relative to its peak"
+        assert by_check["field-residual"]["pass"]
 
     def test_nonpositive_fit_window_fails_its_record(self, tmp_path):
         # u = 1 - |x|/8 turns negative inside the fit window (5, 12)

@@ -1,5 +1,6 @@
 """Monte-Carlo sampler: convention gating, determinism, density comparison."""
 
+import json
 import sys
 import tracemalloc
 
@@ -155,7 +156,7 @@ class TestCharFunction:
         assert rep["pass"]
 
     def test_gaussian_mode(self):
-        points = _component_points(1.0, P2, 200_000, 21, "gaussian")
+        points = _concatenating_sampler(1.0, P2, 200_000, 21, "gaussian")
         xis = np.array([[0.3, 0.1], [-0.5, 0.7], [1.0, 0.0]])
         vals, ses = _full_array_char_function(points, xis)
         r = np.linalg.norm(xis, axis=1)
@@ -165,11 +166,29 @@ class TestCharFunction:
         assert np.any(np.abs(vals - mixed) > 5 * ses)
 
     def test_stable_mode(self):
-        points = _component_points(1.0, P2, 200_000, 22, "stable")
+        points = _concatenating_sampler(1.0, P2, 200_000, 22, "stable")
         xis = np.array([[0.3, 0.1], [-0.5, 0.7], [0.2, -0.9]])
         vals, ses = _full_array_char_function(points, xis)
         r = np.linalg.norm(xis, axis=1)
         assert np.all(np.abs(vals - np.exp(-r ** (2 * P2.s))) <= 3 * ses)
+
+    def test_zero_spread_reports_are_strict_json(self, batch_200k):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        def rows(xis):
+            rep = mc.validate_char_function(batch_200k, xis)
+            return rep["pass"], json.loads(json.dumps(rep), parse_constant=refuse)["frequencies"]
+
+        # xi = 0 estimates exactly its target, 1, with no spread: 0 sigma
+        passed, (row,) = rows([[0.0, 0.0]])
+        assert (row["empirical"], row["standard_error"], row["sigmas"]) == (1.0, 0.0, 0.0)
+        assert passed
+        # at |xi| = 1e-16 every cosine is 1 but the target is 1 - 1e-16: no
+        # spread to weigh the miss by, so no statistic, and the check fails
+        passed, (row,) = rows([[1e-16, 0.0]])
+        assert row["standard_error"] == 0.0 and row["empirical"] != row["expected"]
+        assert row["sigmas"] is None and not passed
 
     def test_tail_exponent(self, batch_200k):
         # P(|X| > R) ~ R^{-2s}
@@ -215,26 +234,15 @@ def _sin(phase):
     return mc._sin(phase, np.empty_like(phase))
 
 
-def _component_points(t, params, count, seed, mode):
-    """Draws of one ``mc._sample_chunk`` mode over the stored batch's sub-batches,
-    each from its spawned generator: the stored batch's points when ``mode`` is
-    "mixed", and the Brownian or the 2s-stable part alone otherwise."""
-    points = np.empty((count, params.n))
-    starts = range(0, count, mc._SUB_BATCH)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
-    for start, child in zip(starts, children):
-        mc._sample_chunk(t, params, points[start:start + mc._SUB_BATCH],
-                         np.random.default_rng(child), mode)
-    return points
-
-
 def _concatenating_sampler(t, params, count, seed, mode):
     """The sampler before streaming: per-sub-batch arrays, summed and joined.
 
     Kept as the oracle that the streamed sampler draws the same stream in the
     same order of operations, its sines those of ``mc._sin``.  A mixed row is
     the conditional Gaussian draw: given A, one standard normal row scaled by
-    sqrt(t / (2 pi^2) + 2 A).
+    sqrt(t / (2 pi^2) + 2 A).  The library draws only mixed rows; "gaussian"
+    and "stable" draw the Brownian or the 2s-stable part alone, with the same
+    constants, for the convention checks.
     """
     n, s = params.n, params.s
     children = np.random.SeedSequence(seed).spawn(-(-count // mc._SUB_BATCH))
@@ -283,6 +291,13 @@ def _serial_char_function(points, xis, t, s):
     return shift + total / count, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(count)
 
 
+def _estimates(report):
+    """The estimates and standard errors of a characteristic-function report."""
+    rows = report["frequencies"]
+    return (np.array([row["empirical"] for row in rows]),
+            np.array([row["standard_error"] for row in rows]))
+
+
 def _full_array_char_function(points, xis):
     """Mean and ddof=1 standard error of the cosines over all rows at once.
 
@@ -312,19 +327,16 @@ def batch_1m():
 
 class TestStreaming:
     @pytest.mark.parametrize("params", [P2, P3], ids=["n2-s0.5", "n3-s0.25"])
-    @pytest.mark.parametrize("mode", ["mixed", "gaussian", "stable"])
-    @pytest.mark.parametrize("count", [1, 1000, mc._SUB_BATCH + 123])
-    def test_points_bitwise_equal_to_concatenating_sampler(self, params, mode, count):
-        want = _concatenating_sampler(0.7, params, count, 31, mode).tobytes()
-        assert _component_points(0.7, params, count, 31, mode).tobytes() == want
-        if mode == "mixed":
-            assert mc.sample_mixed(0.7, params, count, seed=31).points.tobytes() == want
+    @pytest.mark.parametrize("count", [1, 1000, mc._SUB_BATCH + 123, 2 * mc._SUB_BATCH])
+    def test_points_bitwise_equal_to_concatenating_sampler(self, params, count):
+        want = _concatenating_sampler(0.7, params, count, 31, "mixed").tobytes()
+        assert mc.sample_mixed(0.7, params, count, seed=31).points.tobytes() == want
 
     def test_char_function_matches_full_array(self):
         batch = mc.sample_mixed(1.0, P3, mc._SUB_BATCH + 123, seed=17)
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
         xis[0] *= 1e-3  # cosines near 1: the spread is tiny against the mean
-        vals, ses = mc.empirical_char_function(batch, xis)
+        vals, ses = _estimates(mc.validate_char_function(batch, xis))
         want_vals, want_ses = _full_array_char_function(batch.points, xis)
         np.testing.assert_allclose(vals, want_vals, rtol=1e-12, atol=0)
         np.testing.assert_allclose(ses, want_ses, rtol=1e-12, atol=0)
@@ -390,7 +402,7 @@ class TestWorkers:
         batch = mc.sample_mixed(1.0, P3, MULTI_BLOCK_COUNT, seed=17)
         xis = np.random.default_rng(5).uniform(-1.0, 1.0, (5, 3))
         want_vals, want_ses = _serial_char_function(batch.points, xis, 1.0, P3.s)
-        vals, ses = mc.empirical_char_function(batch, xis)
+        vals, ses = _estimates(mc.validate_char_function(batch, xis))
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(ses, want_ses)
 
@@ -431,7 +443,7 @@ class TestStreamedPass:
     """``stream_checks`` reports what the checks of the stored batch report."""
 
     @pytest.mark.parametrize("params", [P2, P3], ids=["n2-s0.5", "n3-s0.25"])
-    @pytest.mark.parametrize("count", [1000, mc._SUB_BATCH + 123,
+    @pytest.mark.parametrize("count", [1000, mc._SUB_BATCH + 123, 2 * mc._SUB_BATCH,
                                        3 * mc._SUB_BATCH + 5, 10 ** 6])
     def test_reports_equal_stored_batch_checks(self, params, count):
         xis = np.random.default_rng(8).uniform(-1.0, 1.0, (5, params.n))

@@ -1,16 +1,19 @@
-"""Planted defects that ``mixlap analyze`` and ``kernel-verify`` must catch with exit 1.
+"""Planted defects that ``analyze``, ``kernel-verify`` and ``mc-validate`` must
+catch with exit 1.
 
 The field tests write a converged ground state with one defect planted in
 the field or its header and run ``analyze`` on it; the kernel tests plant a
-defect in ``kernels`` and run ``kernel-verify`` in process.  A verdict that
-no planted defect can trip checks nothing.
+defect in ``kernels`` and run ``kernel-verify`` in process, and the sampler
+test plants one in ``mc`` and runs ``mc-validate``.  A verdict that no
+planted defect can trip checks nothing.
 """
 
 import json
 
+import numpy as np
 import pytest
 
-from mixlap import kernels, spectral
+from mixlap import kernels, mc, spectral
 from mixlap.cli import main
 
 
@@ -61,3 +64,26 @@ def test_planted_kernel_defect_fails_kernel_verify(tmp_path, monkeypatch, plant,
     with open(out / "kernel-verify.json") as fh:
         records = {rec["check"]: rec for rec in json.load(fh)}
     assert [check for check in failing if records[check]["pass"]] == []
+
+
+def sampler_variance_scaled_by_1_2(monkeypatch, t):
+    # A_1 + 0.1 sigma^2 / c^{1/s} in place of A_1, so that the rows' variance
+    # sigma^2 + 2 A becomes 1.2 sigma^2 + 2 A; the pool's workers look
+    # _one_sided_stable up when they draw
+    one_sided_stable = mc._one_sided_stable
+
+    def planted(s, size, rng, scratch):
+        sigma2 = t / (2.0 * np.pi ** 2)
+        c = t * (2.0 * np.pi) ** (-2.0 * s)
+        return one_sided_stable(s, size, rng, scratch) + 0.1 * sigma2 / c ** (1.0 / s)
+
+    monkeypatch.setattr(mc, "_one_sided_stable", planted)
+
+
+@pytest.mark.parametrize("n, s", [("2", "0.5"), ("3", "0.25")], ids=["n2-s0.5", "n3-s0.25"])
+def test_planted_sampler_defect_fails_mc_validate(tmp_path, monkeypatch, n, s):
+    argv = ["mc-validate", "--n", n, "--s", s, "--t", "1", "--count", "100000",
+            "--seed", "0", "--output-dir"]
+    assert main(argv + [str(tmp_path / "clean")]) == 0
+    sampler_variance_scaled_by_1_2(monkeypatch, t=1.0)
+    assert main(argv + [str(tmp_path / "planted")]) == 1

@@ -57,9 +57,7 @@ class TestOperators:
             w_sq = (2.0 * np.pi * xi) ** 2
             lam = w_sq + w_sq ** P2.s
             out = S.apply_operator(f, P2)
-            assert np.abs(out.data - lam * f.data).max() / lam < 1e-12, grid
-            out_id = S.apply_operator(f, P2, include_identity=True)
-            assert np.abs(out_id.data - (lam + 1) * f.data).max() / lam < 1e-12, grid
+            assert np.abs(out.data - (lam + 1) * f.data).max() / lam < 1e-12, grid
 
     def test_symbol_midpoint_value(self):
         assert S.operator_symbol(1.0, 0.5) == pytest.approx(2.0)
@@ -73,7 +71,7 @@ class TestOperators:
     def test_resolvent_inverts(self):
         for grid in GRIDS:
             f = random_field(grid, 3)
-            back = S.apply_operator(S.apply_resolvent(f, P2), P2, include_identity=True)
+            back = S.apply_operator(S.apply_resolvent(f, P2), P2)
             assert np.abs(back.data - f.data).max() / np.abs(f.data).max() < 1e-10, grid
 
     def test_resolvent_zero_mode(self):
@@ -203,7 +201,7 @@ class TestFullLayoutOracle:
         vol = (2.0 * grid.L) ** grid.n
         l2, h1, hs = (vol * np.sum(weight * power) for weight in (1.0, w_sq, w_sq ** s))
         return {
-            "operator": np.fft.ifftn(m * c).real,
+            "operator": np.fft.ifftn((1.0 + m) * c).real,
             "resolvent": np.fft.ifftn(c / (1.0 + m)).real,
             "l2": np.sqrt(l2),
             "h1_seminorm": np.sqrt(h1),
@@ -245,9 +243,7 @@ class TestEvenLayout:
         assert full.grid == grid
         for name, apply in (
                 ("resolvent", lambda f: S.apply_resolvent(f, P2)),
-                ("operator", lambda f: S.apply_operator(f, P2)),
-                ("identity+operator",
-                 lambda f: S.apply_operator(f, P2, include_identity=True))):
+                ("operator", lambda f: S.apply_operator(f, P2))):
             ref = apply(full).data
             got = S.expand_even(apply(half)).data
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
